@@ -19,17 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .detector import PredictorBank, DetectorEntry, ThresholdConfig, residuals
-from .lp_milp import (
-    Constraint,
-    LinearProgram,
-    MILPProblem,
-    MILPSolution,
-    Status,
-    solve_milp,
-    EQ,
-    LE,
-)
+from .detector import PredictorBank, ThresholdConfig, residuals
+from .lp_milp import Constraint, LinearProgram, MILPProblem, Status, solve_milp, LE
 from .models import LinearModel, predict_batch, taylor_linearize
 from .plant import Dataset
 
@@ -144,7 +135,6 @@ class Alg1Config:
     epsilon0: float
     epsilon_min: float
     n_max: int = 50
-    big_m: float | None = None
 
     def __post_init__(self):
         if self.epsilon0 <= 0 or self.epsilon_min <= 0:
@@ -153,8 +143,6 @@ class Alg1Config:
             raise ValueError("epsilon_min must be below epsilon0")
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
-        if self.big_m is not None and self.big_m <= 0:
-            raise ValueError("big_m must be positive")
 
 
 def default_alg1_config(data: Dataset, n_max: int = 50) -> Alg1Config:
@@ -207,17 +195,21 @@ def build_attack_milp(
     target: int,
     trust_radius: float | None = None,
     center: np.ndarray | None = None,
-    big_m: float | None = None,
 ) -> MILPProblem:
-    """Mixed-binary encoding of the stealthy attack on an affine bank.
+    """Mixed-binary encoding of the stealthy attack over the perturbation.
 
-    Variables are (y_tilde, delta, alpha) per sensor column.  Rows: two-sided
-    stealth constraints per detector, coupling ``y_tilde = y + delta``,
-    two-sided activation ``|delta| <= M alpha`` (both signs, otherwise
-    negative perturbations would not consume budget), and the budget row.
-    A finite trust region tightens the ``y_tilde`` boxes around ``center``.
+    Variables are (delta, alpha) per sensor column.  Each detector's signed
+    residual ``prediction - reading`` at ``y + delta`` is affine in delta:
+    exact for a ``LinearModel``, the first-order expansion at ``center``
+    otherwise.  Rows: that residual within ``[-tau, tau]``, two-sided
+    activation ``|delta| <= M alpha`` (both signs, otherwise negative
+    perturbations would not consume budget), and the budget row.  A
+    nonlinear bank needs a finite trust region, which tightens the delta
+    bounds to ``center +- trust_radius``.
     """
-    _require_affine(bank)
+    local = trust_radius is not None and math.isfinite(trust_radius)
+    if not local:
+        _require_affine(bank)
     if target not in inst.critical:
         raise ValueError(f"target {target} is not a critical sensor")
     for s in bank.detector_set:
@@ -228,123 +220,95 @@ def build_attack_milp(
     pos = {s: i for i, s in enumerate(sensors)}
     d = len(sensors)
     y = inst.y
+    center = y if center is None else np.asarray(center, dtype=float)
 
     dlo, dhi = inst.delta_bounds()
-    ylo = y + dlo
-    yhi = y + dhi
-    if trust_radius is not None and math.isfinite(trust_radius):
-        c = inst.y if center is None else np.asarray(center, dtype=float)
-        ylo = np.maximum(ylo, c - trust_radius)
-        yhi = np.minimum(yhi, c + trust_radius)
-        dlo = np.maximum(dlo, ylo - y)
-        dhi = np.minimum(dhi, yhi - y)
+    if local:
+        dlo = np.maximum(dlo, center - trust_radius - y)
+        dhi = np.minimum(dhi, center + trust_radius - y)
 
-    n = 3 * d  # [y_tilde | delta | alpha]
+    n = 2 * d  # [delta | alpha]
     lower = np.zeros(n)
     upper = np.zeros(n)
-    for s in sensors:
-        i = pos[s]
-        lower[i], upper[i] = ylo[s], yhi[s]
-        lower[d + i], upper[d + i] = dlo[s], dhi[s]
-        if s in inst.attackable:
-            upper[2 * d + i] = 1.0
+    lower[:d] = dlo[list(sensors)]
+    upper[:d] = dhi[list(sensors)]
+    for s in inst.attackable:
+        upper[d + pos[s]] = 1.0
 
     constraints: list[Constraint] = []
     for s in bank.detector_set:
         entry = bank.detectors[s]
-        model: LinearModel = entry.model
-        row_hi = np.zeros(n)
-        row_hi[pos[s]] = 1.0
-        const = model.b
-        for w_j, f in zip(model.w, entry.feature_indices):
-            f = int(f)
-            if f in pos:
-                row_hi[pos[f]] -= w_j
-            else:
-                const += w_j * y[f]
-        t = tau.tau[s]
-        constraints.append(Constraint(row_hi, LE, t + const))
-        constraints.append(Constraint(-row_hi, LE, t - const))
-
-    for s in sensors:
-        i = pos[s]
+        feats = entry.feature_indices
+        if isinstance(entry.model, LinearModel):
+            w, b = entry.model.w, entry.model.b
+        else:
+            w, b = taylor_linearize(entry.model, center[feats])
+        # The residual at y + delta is r0 - row . delta.
+        r0 = float(w @ y[feats]) + b - y[s]
         row = np.zeros(n)
-        row[i] = 1.0
-        row[d + i] = -1.0
-        constraints.append(Constraint(row, EQ, y[s]))
+        row[pos[s]] = 1.0
+        for w_j, f in zip(w, feats):
+            if int(f) in pos:
+                row[pos[int(f)]] -= w_j
+        t = tau.tau[s]
+        constraints.append(Constraint(row, LE, t + r0))
+        constraints.append(Constraint(-row, LE, t - r0))
 
     for s in sorted(inst.attackable):
         i = pos[s]
-        # M must dominate the perturbation box or alpha would clip delta;
-        # a caller-supplied big_m can only raise it.
+        # M must dominate the perturbation box or alpha would clip delta.
         m_s = max(abs(dlo[s]), abs(dhi[s]))
-        if big_m is not None:
-            m_s = max(m_s, big_m)
         row = np.zeros(n)
-        row[d + i] = 1.0
-        row[2 * d + i] = -m_s
+        row[i] = 1.0
+        row[d + i] = -m_s
         constraints.append(Constraint(row, LE, 0.0))
         row = np.zeros(n)
-        row[d + i] = -1.0
-        row[2 * d + i] = -m_s
+        row[i] = -1.0
+        row[d + i] = -m_s
         constraints.append(Constraint(row, LE, 0.0))
 
     budget_row = np.zeros(n)
     for s in inst.attackable:
-        budget_row[2 * d + pos[s]] = 1.0
+        budget_row[d + pos[s]] = 1.0
     constraints.append(Constraint(budget_row, LE, float(inst.budget)))
 
     objective = np.zeros(n)
-    objective[d + pos[target]] = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
+    objective[pos[target]] = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
     lp = LinearProgram(objective, tuple(constraints), lower, upper)
-    binaries = frozenset(2 * d + pos[s] for s in inst.attackable)
+    binaries = frozenset(d + pos[s] for s in inst.attackable)
     return MILPProblem(lp, binaries)
 
 
-def _extract_result(
+def _delta(inst: AttackInstance, x: np.ndarray) -> np.ndarray:
+    """Full-row perturbation from a solution of ``build_attack_milp``."""
+    delta = np.zeros_like(inst.y)
+    delta[list(inst.sensor_columns)] = x[: len(inst.sensor_columns)]
+    return delta
+
+
+def _result(
     bank: PredictorBank,
     tau: ThresholdConfig,
     inst: AttackInstance,
     target: int,
-    sol: MILPSolution,
+    delta: np.ndarray,
+    iterations: int,
+    status: str,
 ) -> AttackResult:
-    sensors = inst.sensor_columns
-    d = len(sensors)
-    y_tilde = inst.y.copy()
-    for i, s in enumerate(sensors):
-        y_tilde[s] = sol.x[i]
-    delta = y_tilde - inst.y
-    delta[np.abs(delta) < _CLEAN_TOL] = 0.0
-    # Clamp solver slop back inside the perturbation bounds.
+    """Attack result for ``delta`` after zeroing solver slop, clamping it
+    into the perturbation bounds and certifying the attacked row."""
+    delta = np.where(np.abs(delta) < _CLEAN_TOL, 0.0, delta)
     dlo, dhi = inst.delta_bounds()
     delta = np.clip(delta, dlo, dhi)
     y_tilde = inst.y + delta
-    margin = stealth_margin(bank, tau, y_tilde)
-    status = "optimal" if sol.status == Status.OPTIMAL else sol.status.value
     return AttackResult(
         y_tilde=y_tilde,
         delta=delta,
         alpha=delta != 0.0,
         target=target,
         objective=float(y_tilde[target]),
-        feasible=margin <= STEALTH_TOL,
-        iterations=sol.nodes_explored,
-        solver_status=status,
-    )
-
-
-def _noop_result(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstance, status: str) -> AttackResult:
-    sign = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
-    target = min(inst.critical, key=lambda s: sign * inst.y[s])
-    margin = stealth_margin(bank, tau, inst.y)
-    return AttackResult(
-        y_tilde=inst.y.copy(),
-        delta=np.zeros_like(inst.y),
-        alpha=np.zeros(inst.y.size, dtype=bool),
-        target=target,
-        objective=float(inst.y[target]),
-        feasible=margin <= STEALTH_TOL,
-        iterations=0,
+        feasible=stealth_margin(bank, tau, y_tilde) <= STEALTH_TOL,
+        iterations=iterations,
         solver_status=status,
     )
 
@@ -355,37 +319,34 @@ def _better(direction: Direction, a: float, b: float) -> bool:
 
 def attack_linear(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstance) -> AttackResult:
     """Exact attack on an affine bank: solve the MILP for every critical
-    target and keep the best objective in the chosen direction."""
+    target and keep the best objective in the chosen direction.
+
+    A candidate whose attack fails the stealth certificate is a solver
+    fault, not an attack: it is dropped and the result reports
+    ``solver_status="numerical"``.
+    """
     _require_affine(bank)
     best: AttackResult | None = None
     total_nodes = 0
-    hit_limit = False
+    hit_limit = dropped = False
     for target in inst.critical:
-        prob = build_attack_milp(bank, tau, inst, target)
-        sol = solve_milp(prob)
+        sol = solve_milp(build_attack_milp(bank, tau, inst, target))
         total_nodes += sol.nodes_explored
-        if sol.status == Status.ITERATION_LIMIT:
-            hit_limit = True
-            if sol.x is None:
-                continue
-        elif sol.status != Status.OPTIMAL:
+        hit_limit |= sol.status == Status.ITERATION_LIMIT
+        if sol.x is None or sol.status not in (Status.OPTIMAL, Status.ITERATION_LIMIT):
             continue
-        result = _extract_result(bank, tau, inst, target, sol)
-        if best is None or _better(inst.direction, result.objective, best.objective):
+        result = _result(bank, tau, inst, target, _delta(inst, sol.x), 0, "optimal")
+        if not result.feasible:
+            dropped = True
+        elif best is None or _better(inst.direction, result.objective, best.objective):
             best = result
     if best is None:
-        noop = _noop_result(bank, tau, inst, "infeasible")
-        return replace(noop, iterations=total_nodes)
-    status = "iteration_limit" if hit_limit else best.solver_status
+        sign = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
+        target = min(inst.critical, key=lambda s: sign * inst.y[s])
+        status = "numerical" if dropped else "infeasible"
+        return _result(bank, tau, inst, target, np.zeros_like(inst.y), total_nodes, status)
+    status = "numerical" if dropped else "iteration_limit" if hit_limit else "optimal"
     return replace(best, iterations=total_nodes, solver_status=status)
-
-
-def _linearized_bank(bank: PredictorBank, row: np.ndarray) -> PredictorBank:
-    detectors = {}
-    for s, entry in bank.detectors.items():
-        w, b = taylor_linearize(entry.model, row[entry.feature_indices])
-        detectors[s] = DetectorEntry(LinearModel(w, b), s, entry.feature_indices)
-    return PredictorBank(detectors, bank.detector_set, bank.column_names)
 
 
 def _probe_seeds(
@@ -484,20 +445,17 @@ def attack_nn(
         iters = 0
         while iters < cfg.n_max and eps >= cfg.epsilon_min:
             iters += 1
-            lin_bank = _linearized_bank(bank, current)
             tau_eff = ThresholdConfig(
                 {s: max(tau.tau[s] - backoff[s], 0.0) for s in bank.detector_set}
             )
-            prob = build_attack_milp(
-                lin_bank, tau_eff, inst, target, trust_radius=eps, center=current, big_m=cfg.big_m
-            )
+            prob = build_attack_milp(bank, tau_eff, inst, target, trust_radius=eps, center=current)
             sol = solve_milp(prob)
             if sol.status != Status.OPTIMAL or sol.x is None:
                 # Possibly over-tightened; relax and shrink the region.
                 eps /= 2.0
                 backoff = {s: 0.5 * v for s, v in backoff.items()}
                 continue
-            cand = _extract_result(bank, tau, inst, target, sol)
+            cand = _result(bank, tau, inst, target, _delta(inst, sol.x), 0, "optimal")
             viol = {s: r - tau.tau[s] for s, r in residuals(bank, cand.y_tilde).items()}
             if max(viol.values()) <= _ACCEPT_TOL:
                 improvement = (
@@ -536,18 +494,7 @@ def attack_nn(
                     final_point = point
         if final_point is None:
             final_point = inst.y  # nothing stealthy found; honest no-op
-        delta = final_point - inst.y
-        delta[np.abs(delta) < _CLEAN_TOL] = 0.0
-        final = AttackResult(
-            y_tilde=inst.y + delta,
-            delta=delta,
-            alpha=delta != 0.0,
-            target=target,
-            objective=float(inst.y[target] + delta[target]),
-            feasible=stealth_margin(bank, tau, inst.y + delta) <= STEALTH_TOL,
-            iterations=total_iters,
-            solver_status="optimal",
-        )
+        final = _result(bank, tau, inst, target, final_point - inst.y, total_iters, "optimal")
         if best is None or _better(inst.direction, final.objective, best.objective):
             best = final
     assert best is not None  # critical is nonempty by construction

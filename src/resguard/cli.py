@@ -48,6 +48,10 @@ class SolverLimitError(RuntimeError):
     """The attack solver gave up before proving optimality."""
 
 
+class NumericalError(RuntimeError):
+    """The attack solver returned an answer that fails its certificate."""
+
+
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
     "seed": 0,
@@ -275,6 +279,8 @@ def _attack_setup(cfg: dict, out: Path):
 def _check_solver_status(result: attack_mod.AttackResult) -> None:
     if result.solver_status == "iteration_limit":
         raise SolverLimitError("attack solver hit its node cap; result is not proven optimal")
+    if result.solver_status == "numerical":
+        raise NumericalError("attack solver returned a candidate that fails the stealth certificate")
 
 
 def cmd_attack(cfg: dict) -> int:
@@ -477,7 +483,7 @@ def main(argv=None) -> int:
     except SolverLimitError as exc:
         print(f"solver limit: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (plant_mod.InstabilityError, models_mod.TrainingDivergedError, FloatingPointError) as exc:
+    except (NumericalError, plant_mod.InstabilityError, models_mod.TrainingDivergedError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, plant_mod.CsvParseError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -273,29 +273,12 @@ def train_bank(
         X = train_data.values[:, idx]
         y = train_data.values[:, s]
         names = tuple(train_data.names[i] for i in idx)
+        sensor_cfg = replace(cfg, seed=cfg.seed + 7919 * s)
         if family == "linear":
             model: Model = fit_linear(X, y, names)
         elif family == "neural":
-            sensor_cfg = TrainConfig(
-                epochs=cfg.epochs,
-                learning_rate=cfg.learning_rate,
-                adam_beta1=cfg.adam_beta1,
-                adam_beta2=cfg.adam_beta2,
-                adam_eps=cfg.adam_eps,
-                hidden_layers=cfg.hidden_layers,
-                seed=cfg.seed + 7919 * s,
-            )
             model = fit_nn(X, y, sensor_cfg, names)
         elif family == "ensemble":
-            sensor_cfg = TrainConfig(
-                epochs=cfg.epochs,
-                learning_rate=cfg.learning_rate,
-                adam_beta1=cfg.adam_beta1,
-                adam_beta2=cfg.adam_beta2,
-                adam_eps=cfg.adam_eps,
-                hidden_layers=cfg.hidden_layers,
-                seed=cfg.seed + 7919 * s,
-            )
             model = EnsembleModel(fit_nn(X, y, sensor_cfg, names), fit_linear(X, y, names))
         else:
             raise ValueError(f"unknown model family {family!r}")

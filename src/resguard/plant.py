@@ -101,12 +101,6 @@ class Dataset:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    def index_of(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise KeyError(name)
-
     def sensor_columns(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.columns) if c.role != Role.CONTROL)
 

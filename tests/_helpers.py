@@ -4,6 +4,7 @@ import numpy as np
 
 from resguard.attack import AttackInstance, Direction
 from resguard.detector import DetectorEntry, PredictorBank, ThresholdConfig
+from resguard.lp_milp import MILPSolution, Status
 from resguard.models import LinearModel, NeuralModel, Scaler
 
 
@@ -102,3 +103,14 @@ def assert_result_invariants(result, inst):
         assert abs(result.delta[s]) <= inst.eta[s] + 1e-9
         assert result.alpha[s]
     assert np.allclose(result.y_tilde, inst.y + result.delta)
+
+
+def stealth_breaking_solve(problem):
+    """Stand-in for ``solve_milp`` on an attack MILP: claims OPTIMAL for a
+    point that pushes the target to the end of its perturbation box, far
+    outside its detector's threshold."""
+    lp = problem.lp
+    x = np.zeros(lp.n_vars)
+    j = int(np.flatnonzero(lp.objective)[0])
+    x[j] = lp.lower[j] if lp.objective[j] > 0 else lp.upper[j]
+    return MILPSolution(Status.OPTIMAL, x, float(lp.objective @ x), 1)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import assert_result_invariants, constant_bank, random_linear_setup
+from _helpers import assert_result_invariants, constant_bank, random_linear_setup, stealth_breaking_solve
+from resguard import attack
 from resguard.attack import (
     Alg1Config,
     AttackInstance,
@@ -14,11 +15,19 @@ from resguard.attack import (
     instance_from_dataset,
     run_attack,
 )
-from resguard.detector import DetectorEntry, PredictorBank, ThresholdConfig, residuals
-from resguard.lp_milp import Status, solve_milp
+from resguard.detector import (
+    DetectorEntry,
+    PredictorBank,
+    ThresholdConfig,
+    calibrate_baseline,
+    fp_curve,
+    residuals,
+    train_bank,
+)
+from resguard.lp_milp import GE, LE, Status, solve_milp
 from resguard.models import LinearModel, NeuralModel
 from resguard.oracle import oracle_attack_enumerate, oracle_attack_grid
-from resguard.plant import desk_config, simulate
+from resguard.plant import desk_config, paper_scale_config, simulate, split_sequential
 
 
 def _identity_pair_bank(mutual: bool):
@@ -302,3 +311,73 @@ def test_run_attack_dispatch():
     nn_bank = PredictorBank({0: DetectorEntry(nn, 0, np.array([1]))}, (0,))
     with pytest.raises(ValueError):
         run_attack(nn_bank, tau, inst)
+
+
+def test_attack_linear_drops_candidate_failing_certificate(monkeypatch):
+    bank = _identity_pair_bank(mutual=True)
+    tau = ThresholdConfig({0: 1.0, 1: 1.0})
+    inst = AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0, 1), budget=1)
+
+    def solve(problem):
+        # Target 0's candidate breaks stealth; target 1 is solved for real.
+        return stealth_breaking_solve(problem) if problem.lp.objective[0] else solve_milp(problem)
+
+    monkeypatch.setattr(attack, "solve_milp", solve)
+    result = attack_linear(bank, tau, inst)
+    assert result.solver_status == "numerical"
+    assert result.target == 1
+    assert result.objective == pytest.approx(-1.0, abs=1e-7)
+    assert result.feasible
+    assert_result_invariants(result, inst)
+
+    monkeypatch.setattr(attack, "solve_milp", stealth_breaking_solve)
+    result = attack_linear(bank, tau, inst)
+    assert result.solver_status == "numerical"
+    assert result.n_attacked == 0
+    assert result.feasible
+
+
+def _highs_objective(problem):
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lp = problem.lp
+    A = np.array([c.coeffs for c in lp.constraints])
+    lo = np.array([-np.inf if c.sense == LE else c.rhs for c in lp.constraints])
+    hi = np.array([np.inf if c.sense == GE else c.rhs for c in lp.constraints])
+    integrality = np.zeros(lp.n_vars)
+    integrality[sorted(problem.binary_vars)] = 1
+    res = milp(
+        lp.objective,
+        constraints=LinearConstraint(A, lo, hi),
+        bounds=Bounds(lp.lower, lp.upper),
+        integrality=integrality,
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def test_attack_linear_matches_highs_at_paper_scale():
+    """Exact attack vs scipy's HiGHS on the paper preset (41 sensors, 5
+    critical), test row 0, budgets 1-3, every critical target.
+
+    Budget 3 on target s1 is the case where the simplex once reported a
+    false OPTIMAL and the attack went over budget.  Budgets 4-5 also match
+    HiGHS but take about 30 s more, so they are left out for time only.
+    """
+    data = simulate(paper_scale_config(seed=7), 7200)
+    train, test = split_sequential(data, 0.8)
+    bank = train_bank(train, family="linear")
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, 5)
+    for budget in (1, 2, 3):
+        for target in train.critical_columns():
+            inst = instance_from_dataset(train, test.values[0], budget=budget, critical=(target,))
+            problem = build_attack_milp(bank, tau, inst, target)
+            assert (problem.lp.n_vars, len(problem.lp.constraints)) == (82, 93)
+            assert all(c.sense == LE for c in problem.lp.constraints)
+            ref = _highs_objective(problem)
+            result = attack_linear(bank, tau, inst)
+            key = (budget, target)
+            assert result.objective - inst.y[target] == pytest.approx(ref, abs=1e-6 * max(1.0, abs(ref))), key
+            assert result.feasible, key
+            assert result.n_attacked <= budget, key

@@ -1,11 +1,15 @@
 import csv
 import json
+import shutil
 
 import pytest
 
+from _helpers import stealth_breaking_solve
+from resguard import attack
 from resguard.cli import (
     EXIT_CONFIG,
     EXIT_DEPENDENCY,
+    EXIT_NUMERIC,
     EXIT_OK,
     load_config,
     main,
@@ -118,3 +122,11 @@ def test_load_config_merges_defaults(tmp_path):
     assert cfg["attack"]["budget"] == 5
     assert cfg["attack"]["direction"] == "minimize"  # default preserved
     assert cfg["model_family"] == "linear"
+
+
+def test_attack_exits_numeric_on_certificate_failure(pipeline_dir, tmp_path, monkeypatch):
+    out, cfg_path = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    monkeypatch.setattr(attack, "solve_milp", stealth_breaking_solve)
+    assert main(["attack", "--config", str(cfg_path), "--out", str(run)]) == EXIT_NUMERIC
