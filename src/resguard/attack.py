@@ -286,6 +286,13 @@ def _delta(inst: AttackInstance, x: np.ndarray) -> np.ndarray:
     return delta
 
 
+def _clean(inst: AttackInstance, delta: np.ndarray) -> np.ndarray:
+    """``delta`` with solver slop zeroed and clamped into the perturbation bounds."""
+    delta = np.where(np.abs(delta) < _CLEAN_TOL, 0.0, delta)
+    dlo, dhi = inst.delta_bounds()
+    return np.clip(delta, dlo, dhi)
+
+
 def _result(
     bank: PredictorBank,
     tau: ThresholdConfig,
@@ -297,9 +304,7 @@ def _result(
 ) -> AttackResult:
     """Attack result for ``delta`` after zeroing solver slop, clamping it
     into the perturbation bounds and certifying the attacked row."""
-    delta = np.where(np.abs(delta) < _CLEAN_TOL, 0.0, delta)
-    dlo, dhi = inst.delta_bounds()
-    delta = np.clip(delta, dlo, dhi)
+    delta = _clean(inst, delta)
     y_tilde = inst.y + delta
     return AttackResult(
         y_tilde=y_tilde,
@@ -323,29 +328,31 @@ def attack_linear(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstanc
 
     A candidate whose attack fails the stealth certificate is a solver
     fault, not an attack: it is dropped and the result reports
-    ``solver_status="numerical"``.
+    ``solver_status="numerical"``, as it does when a MILP solve ends
+    ``NUMERICAL`` (its incumbent, if any, still competes).
     """
     _require_affine(bank)
     best: AttackResult | None = None
     total_nodes = 0
-    hit_limit = dropped = False
+    hit_limit = numerical = False
     for target in inst.critical:
         sol = solve_milp(build_attack_milp(bank, tau, inst, target))
         total_nodes += sol.nodes_explored
         hit_limit |= sol.status == Status.ITERATION_LIMIT
-        if sol.x is None or sol.status not in (Status.OPTIMAL, Status.ITERATION_LIMIT):
+        numerical |= sol.status == Status.NUMERICAL
+        if sol.x is None:
             continue
         result = _result(bank, tau, inst, target, _delta(inst, sol.x), 0, "optimal")
         if not result.feasible:
-            dropped = True
+            numerical = True
         elif best is None or _better(inst.direction, result.objective, best.objective):
             best = result
     if best is None:
         sign = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
         target = min(inst.critical, key=lambda s: sign * inst.y[s])
-        status = "numerical" if dropped else "infeasible"
+        status = "numerical" if numerical else "infeasible"
         return _result(bank, tau, inst, target, np.zeros_like(inst.y), total_nodes, status)
-    status = "numerical" if dropped else "iteration_limit" if hit_limit else "optimal"
+    status = "numerical" if numerical else "iteration_limit" if hit_limit else "optimal"
     return replace(best, iterations=total_nodes, solver_status=status)
 
 
@@ -455,21 +462,22 @@ def attack_nn(
                 eps /= 2.0
                 backoff = {s: 0.5 * v for s, v in backoff.items()}
                 continue
-            cand = _result(bank, tau, inst, target, _delta(inst, sol.x), 0, "optimal")
-            viol = {s: r - tau.tau[s] for s, r in residuals(bank, cand.y_tilde).items()}
+            cand = inst.y + _clean(inst, _delta(inst, sol.x))
+            cand_obj = float(cand[target])
+            viol = {s: r - tau.tau[s] for s, r in residuals(bank, cand).items()}
             if max(viol.values()) <= _ACCEPT_TOL:
                 improvement = (
-                    cur_obj - cand.objective
+                    cur_obj - cand_obj
                     if inst.direction == Direction.MINIMIZE
-                    else cand.objective - cur_obj
+                    else cand_obj - cur_obj
                 )
                 if improvement < 1e-9:
                     if max(backoff.values()) <= 1e-9:
                         break  # converged against the true boundaries
                     backoff = {s: 0.25 * v for s, v in backoff.items()}
                     continue
-                current = cand.y_tilde
-                cur_obj = cand.objective
+                current = cand
+                cur_obj = cand_obj
                 eps = cfg.epsilon0
                 backoff = {s: 0.5 * v for s, v in backoff.items()}
             else:

@@ -1,11 +1,23 @@
 """Self-contained dense LP and mixed-binary solver.
 
-``solve_lp`` runs a two-phase tableau simplex on problems with finite
-variable bounds (bounds are folded in as explicit rows after shifting each
-variable to its lower bound).  Dantzig pricing is used until a run of
-degenerate pivots, after which Bland's rule takes over to rule out cycling.
+``solve_lp`` runs a bounded-variable primal simplex on the standard form
+``[A | I] z = b``: one slack per row, ``>=`` rows negated so that every
+inequality slack lies in ``[0, inf)``, and equality slacks fixed at 0.
+Variable bounds are never rows; each nonbasic column rests at its lower
+or upper bound.  Phase 1 is composite: while a basic variable is out of
+bounds the pricing minimizes the sum of bound violations, then it
+minimizes the true cost.  Basic values and reduced costs are recomputed
+from the tableau on every iteration, so no cost row can drift.  Dantzig
+pricing is used until a run of degenerate pivots, after which Bland's rule
+takes over to rule out cycling.  Any basis can start the method: the
+slack basis with every structural variable at its lower bound (cold), or
+a basis returned by an earlier solve, which is refactorized.
+
 ``solve_milp`` wraps it in branch-and-bound over the binary variables with
-best-bound node selection and most-fractional branching.
+best-bound node selection and most-fractional branching; each child is
+warm-started from its parent's final basis, since the two differ by one
+bound.  A vertex that fails ``check_solution`` is reported as
+``NUMERICAL``, never as ``OPTIMAL``.
 
 Sizes here are a few hundred variables at most, so everything is dense.
 """
@@ -16,6 +28,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +36,7 @@ LE, EQ, GE = "<=", "=", ">="
 
 _PIVOT_TOL = 1e-10
 _RCOST_TOL = 1e-9
+_PRIMAL_TOL = 1e-9  # basic values this far outside their bounds are infeasible
 _FEAS_TOL = 1e-7
 _INT_TOL = 1e-6
 _BOUND_TOL = 1e-9  # incumbent pruning tolerance in branch-and-bound
@@ -31,8 +45,8 @@ _BOUND_TOL = 1e-9  # incumbent pruning tolerance in branch-and-bound
 class Status(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"  # reserved: cannot occur with finite bounds
     ITERATION_LIMIT = "iteration_limit"
+    NUMERICAL = "numerical"  # no vertex that passes check_solution was found
 
 
 @dataclass(frozen=True)
@@ -102,198 +116,147 @@ class MILPProblem:
         object.__setattr__(self, "binary_vars", binaries)
 
 
+class Basis(NamedTuple):
+    """A simplex basis over ``[x | slacks]``: the column basic in each row,
+    and which nonbasic columns rest at their upper bound."""
+
+    basic: np.ndarray
+    at_upper: np.ndarray
+
+
 @dataclass
 class MILPSolution:
     status: Status
     x: np.ndarray | None
     objective: float
     nodes_explored: int = 0
+    basis: Basis | None = None
 
 
-class _Tableau:
-    """Dense simplex tableau with an attached reduced-cost row."""
-
-    def __init__(self, A: np.ndarray, b: np.ndarray, senses: list[str]):
-        m, n = A.shape
-        # Normalize to nonnegative rhs.
-        A = A.copy()
-        b = b.copy()
-        senses = list(senses)
-        for i in range(m):
-            if b[i] < 0:
-                A[i] = -A[i]
-                b[i] = -b[i]
-                if senses[i] == LE:
-                    senses[i] = GE
-                elif senses[i] == GE:
-                    senses[i] = LE
-
-        slack_cols, art_cols = [], []
-        extra = []
-        basis = [-1] * m
-        col = n
-        for i, sense in enumerate(senses):
-            if sense == LE:
-                e = np.zeros(m)
-                e[i] = 1.0
-                extra.append(e)
-                slack_cols.append(col)
-                basis[i] = col
-                col += 1
-            elif sense == GE:
-                e = np.zeros(m)
-                e[i] = -1.0
-                extra.append(e)
-                slack_cols.append(col)
-                col += 1
-            # EQ adds no slack
-        for i, sense in enumerate(senses):
-            if basis[i] == -1:  # GE or EQ rows need an artificial
-                e = np.zeros(m)
-                e[i] = 1.0
-                extra.append(e)
-                art_cols.append(col)
-                basis[i] = col
-                col += 1
-
-        body = np.hstack([A] + ([np.column_stack(extra)] if extra else []))
-        self.T = np.column_stack([body, b])
-        self.m, self.n_struct = m, n
-        self.n_cols = body.shape[1]
-        self.slack_cols = slack_cols
-        self.art_cols = set(art_cols)
-        self.basis = basis
-
-    def pivot(self, row: int, col: int) -> None:
-        T = self.T
-        T[row] = T[row] / T[row, col]
-        factors = T[:, col].copy()
-        factors[row] = 0.0
-        T -= np.outer(factors, T[row])
-        self.basis[row] = col
-
-    def solution(self) -> np.ndarray:
-        x = np.zeros(self.n_cols)
-        for i, j in enumerate(self.basis):
-            x[j] = self.T[i, -1]
-        return x
+def _standard_rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(A, b, eq)`` with ``>=`` rows negated, so ``A x <= b`` on the
+    inequality rows and ``A x = b`` where ``eq``."""
+    cons = lp.constraints
+    A = np.array([c.coeffs for c in cons], dtype=float).reshape(len(cons), lp.n_vars)
+    b = np.array([c.rhs for c in cons], dtype=float)
+    sign = np.array([-1.0 if c.sense == GE else 1.0 for c in cons])
+    eq = np.array([c.sense == EQ for c in cons], dtype=bool)
+    return A * sign[:, None], b * sign, eq
 
 
-def _run_simplex(tab: _Tableau, cost: np.ndarray, allowed: np.ndarray, max_iter: int, it_used: int):
-    """Minimize ``cost . x`` over the tableau; returns (status, iterations used).
+def solve_lp(lp: LinearProgram, max_iterations: int | None = None, basis: Basis | None = None) -> MILPSolution:
+    """Bounded-variable primal simplex over the boxed polytope.
 
-    ``allowed`` masks which columns may enter the basis.  The reduced-cost
-    row is maintained by pivoting.
+    Starts from ``basis`` when given (a basis of an LP with the same rows,
+    such as the parent of a branch-and-bound node), else from the slack
+    basis.  ``max_iterations`` caps pivots plus bound flips.  On success
+    returns a vertex and its final basis.
     """
-    T = tab.T
-    # Reduced costs: c_j - c_B . B^-1 A_j for the current basis.
-    z = np.append(cost, 0.0).astype(float)
-    for i, j in enumerate(tab.basis):
-        if z[j] != 0.0:
-            z = z - z[j] * T[i]
-    bland = False
-    stall = 0
-    stall_limit = 3 * (tab.n_cols + 1)
-    while True:
-        if it_used >= max_iter:
-            return Status.ITERATION_LIMIT, it_used, z
-        red = z[:-1]
-        candidates = np.nonzero(allowed & (red < -_RCOST_TOL))[0]
-        if candidates.size == 0:
-            return Status.OPTIMAL, it_used, z
-        if bland:
-            col = int(candidates[0])
-        else:
-            col = int(candidates[np.argmin(red[candidates])])
-        ratios = np.full(tab.m, np.inf)
-        colvals = T[:, col]
-        pos = colvals > _PIVOT_TOL
-        ratios[pos] = T[pos, -1] / colvals[pos]
-        if not np.any(pos):
-            # Unbounded direction; impossible with boxed variables unless the
-            # caller dropped a bound row. Report as iteration-limit-free optimal
-            # failure via infeasible-style signal.
-            return Status.UNBOUNDED, it_used, z
-        best = np.min(ratios)
-        tie_rows = np.nonzero(ratios <= best + 1e-12)[0]
-        row = int(min(tie_rows, key=lambda i: tab.basis[i]))
-        before = z[-1]
-        tab.pivot(row, col)
-        z = z - z[col] * T[row]
-        it_used += 1
-        # The row tracks the negated objective, so improvement raises z[-1].
-        if z[-1] <= before + 1e-12:
-            stall += 1
-            if stall > stall_limit:
-                bland = True
-        else:
-            stall = 0
-            bland = False
-
-
-def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> MILPSolution:
-    """Two-phase simplex over the boxed polytope; returns a vertex on success."""
-    n = lp.n_vars
-    lo, hi = lp.lower, lp.upper
-    span = hi - lo
-
-    rows, senses, rhs = [], [], []
-    for con in lp.constraints:
-        rows.append(con.coeffs)
-        senses.append(con.sense)
-        rhs.append(con.rhs - float(con.coeffs @ lo))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows.append(e)
-        senses.append(LE)
-        rhs.append(span[j])
-
-    A = np.vstack(rows)
-    b = np.asarray(rhs, dtype=float)
-    tab = _Tableau(A, b, senses)
+    A, b, eq = _standard_rows(lp)
+    m, n = A.shape
+    N = n + m
+    lo = np.concatenate([lp.lower, np.zeros(m)])
+    hi = np.concatenate([lp.upper, np.where(eq, 0.0, np.inf)])
+    cost = np.concatenate([lp.objective, np.zeros(m)])
+    movable = hi > lo
+    full = np.hstack([A, np.eye(m), b[:, None]])  # [A | I | b]
     if max_iterations is None:
-        max_iterations = 10 * (n + len(lp.constraints)) ** 2 + 100
-    it_used = 0
+        max_iterations = 10 * N**2 + 100
 
-    if tab.art_cols:
-        phase1 = np.zeros(tab.n_cols)
-        for j in tab.art_cols:
-            phase1[j] = 1.0
-        allowed = np.ones(tab.n_cols, dtype=bool)
-        status, it_used, z = _run_simplex(tab, phase1, allowed, max_iterations, it_used)
-        if status == Status.ITERATION_LIMIT:
-            return MILPSolution(Status.ITERATION_LIMIT, None, math.inf, 0)
-        # Phase-1 objective is -z[-1] (the row carries the negated value).
-        if -z[-1] > _FEAS_TOL:
-            return MILPSolution(Status.INFEASIBLE, None, math.inf, 0)
-        # Drive leftover artificials out of the basis.
-        for i in range(tab.m):
-            if tab.basis[i] in tab.art_cols:
-                row_entries = tab.T[i, : tab.n_cols]
-                pivot_col = -1
-                for j in range(tab.n_cols):
-                    if j not in tab.art_cols and abs(row_entries[j]) > _PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    tab.pivot(i, pivot_col)
-                # else: the row is redundant; the artificial stays basic at 0.
+    if basis is None:
+        basic, at_upper, T = np.arange(n, N), np.zeros(N, dtype=bool), full.copy()
+    else:
+        if basis.basic.shape != (m,) or basis.at_upper.shape != (N,):
+            raise ValueError("basis does not match the LP's shape")
+        basic, at_upper = basis.basic.copy(), basis.at_upper.copy()
+        T = np.linalg.solve(full[:, basic], full)
+    # Nonbasic values, and the sign that turns a reduced cost into the
+    # gain of moving a nonbasic column off its bound (0: basic or fixed).
+    z = np.where(at_upper, hi, lo)
+    sign = np.where(movable, np.where(at_upper, 1.0, -1.0), 0.0)
+    z[basic] = sign[basic] = 0.0
+    fresh = True  # T was just factorized, not updated by pivots
+    iterations = stall = 0
+    bland = False
+    stall_limit = 3 * (N + 1)
 
-    cost = np.zeros(tab.n_cols)
-    cost[:n] = lp.objective
-    allowed = np.ones(tab.n_cols, dtype=bool)
-    for j in tab.art_cols:
-        allowed[j] = False
-    status, it_used, _ = _run_simplex(tab, cost, allowed, max_iterations, it_used)
-    if status == Status.ITERATION_LIMIT:
-        return MILPSolution(Status.ITERATION_LIMIT, None, math.inf, 0)
-    if status == Status.UNBOUNDED:
-        return MILPSolution(Status.UNBOUNDED, None, -math.inf, 0)
+    def done(status: Status, x: np.ndarray | None = None) -> MILPSolution:
+        objective = float(lp.objective @ x) if x is not None else math.inf
+        return MILPSolution(status, x, objective, 0, Basis(basic.copy(), at_upper.copy()))
 
-    z_vals = tab.solution()
-    x = np.clip(z_vals[:n] + lo, lo, hi)
-    return MILPSolution(Status.OPTIMAL, x, float(lp.objective @ x), 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            x_b = T[:, -1] - T[:, :N] @ z
+            lo_b, hi_b = lo[basic], hi[basic]
+            below = x_b < lo_b - _PRIMAL_TOL
+            above = x_b > hi_b + _PRIMAL_TOL
+            infeasible = bool(below.any() or above.any())
+            if infeasible:
+                # Phase 1 prices the sum of bound violations.  A violated
+                # basic may move toward its bound until it reaches it, and
+                # away from it without limit.
+                gain = sign * ((below.astype(float) - above) @ T[:, :N])
+                up_to = np.where(above, np.inf, np.where(below, lo_b, hi_b))
+                down_to = np.where(below, -np.inf, np.where(above, hi_b, lo_b))
+            else:
+                gain = sign * (cost - cost[basic] @ T[:, :N])
+                up_to, down_to = hi_b, lo_b
+            q = int(np.argmax(gain))
+
+            if gain[q] <= _RCOST_TOL:
+                if not infeasible:
+                    values = z.copy()
+                    values[basic] = x_b
+                    x = np.clip(values[:n], lp.lower, lp.upper)
+                    if check_solution(lp, x) <= _FEAS_TOL:
+                        return done(Status.OPTIMAL, x)
+                if not fresh:  # rule out drift in the updated tableau first
+                    T, fresh = np.linalg.solve(full[:, basic], full), True
+                    continue
+                return done(Status.INFEASIBLE if infeasible else Status.NUMERICAL)
+            if iterations >= max_iterations:
+                return done(Status.ITERATION_LIMIT)
+            if bland:
+                q = int(np.flatnonzero(gain > _RCOST_TOL)[0])
+
+            # Rate of change of each basic value as column q leaves its bound.
+            alpha = sign[q] * T[:, q]
+            ratio = np.maximum((np.where(alpha > 0, up_to, down_to) - x_b) / alpha, 0.0)
+            ratio[np.abs(alpha) <= _PIVOT_TOL] = np.inf
+            theta = float(ratio.min(initial=np.inf))
+            flip = hi[q] - lo[q]
+            if not math.isfinite(min(theta, flip)):
+                return done(Status.NUMERICAL)  # no ray exists in a boxed LP
+            iterations += 1
+            if flip <= theta:
+                at_upper[q] = not at_upper[q]
+                z[q] = hi[q] if at_upper[q] else lo[q]
+                sign[q] = -sign[q]
+                step = flip
+            else:
+                ties = ratio <= theta + 1e-12
+                if bland:
+                    r = int(np.argmin(np.where(ties, basic, N)))
+                else:
+                    r = int(np.argmax(np.where(ties, np.abs(alpha), -1.0)))
+                # The leaving column rests at the bound it reached.
+                out = basic[r]
+                at_upper[out] = (alpha[r] > 0 and not below[r]) or (alpha[r] < 0 and above[r])
+                z[out] = hi[out] if at_upper[out] else lo[out]
+                sign[out] = (1.0 if at_upper[out] else -1.0) if movable[out] else 0.0
+                pivot_row = T[r] / T[r, q]
+                T -= np.outer(T[:, q], pivot_row)
+                T[r] = pivot_row
+                basic[r] = q
+                at_upper[q] = False
+                z[q] = sign[q] = 0.0
+                fresh = False
+                step = theta
+            if step * gain[q] <= 1e-12:
+                stall += 1
+                bland = bland or stall > stall_limit
+            else:
+                stall, bland = 0, False
 
 
 def _most_fractional(x: np.ndarray, binaries: list[int]) -> tuple[int, float]:
@@ -309,8 +272,10 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
     """Branch-and-bound over the binaries, exact to the LP layer's tolerance.
 
     Nodes are explored best-bound first; branching picks the most-fractional
-    binary.  Hitting the node cap returns ``ITERATION_LIMIT`` with the best
-    incumbent attached.
+    binary, and each child LP starts from its parent's final basis.  Hitting
+    the node cap returns ``ITERATION_LIMIT``, and a node whose LP is
+    ``NUMERICAL`` returns ``NUMERICAL`` at once; both carry the best
+    incumbent so far.
     """
     lp = problem.lp
     binaries = sorted(problem.binary_vars)
@@ -330,13 +295,13 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
 
     root = solve_lp(lp)
     nodes_explored += 1
-    if root.status == Status.ITERATION_LIMIT:
-        return MILPSolution(Status.ITERATION_LIMIT, None, math.inf, nodes_explored)
+    if root.status in (Status.ITERATION_LIMIT, Status.NUMERICAL):
+        return MILPSolution(root.status, None, math.inf, nodes_explored)
     if root.status == Status.OPTIMAL:
-        heapq.heappush(heap, (root.objective, counter, lp.lower, lp.upper, root.x))
+        heapq.heappush(heap, (root.objective, counter, lp.lower, lp.upper, root.x, root.basis))
 
     while heap:
-        bound, _, lo, hi, x = heapq.heappop(heap)
+        bound, _, lo, hi, x, basis = heapq.heappop(heap)
         if bound >= inc_obj - _BOUND_TOL:
             break  # best-bound order: nothing left can improve
         j, frac = _most_fractional(x, binaries)
@@ -351,8 +316,10 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
                 break
             child_lo, child_hi = lo.copy(), hi.copy()
             child_lo[j] = child_hi[j] = val
-            child = solve_lp(lp.with_bounds(child_lo, child_hi))
+            child = solve_lp(lp.with_bounds(child_lo, child_hi), basis=basis)
             nodes_explored += 1
+            if child.status == Status.NUMERICAL:
+                return MILPSolution(Status.NUMERICAL, incumbent, inc_obj, nodes_explored)
             if child.status == Status.ITERATION_LIMIT:
                 hit_limit = True
                 break
@@ -360,7 +327,7 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
                 continue
             if child.objective < inc_obj - _BOUND_TOL:
                 counter += 1
-                heapq.heappush(heap, (child.objective, counter, child_lo, child_hi, child.x))
+                heapq.heappush(heap, (child.objective, counter, child_lo, child_hi, child.x, child.basis))
         if hit_limit:
             break
 
@@ -374,20 +341,16 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
 def check_solution(problem: MILPProblem | LinearProgram, x: np.ndarray, tol: float = _FEAS_TOL) -> float:
     """Worst constraint violation of ``x`` against the raw problem data."""
     lp = problem.lp if isinstance(problem, MILPProblem) else problem
-    worst = 0.0
-    worst = max(worst, float(np.max(lp.lower - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - lp.upper, initial=0.0)))
-    for con in lp.constraints:
-        lhs = float(con.coeffs @ x)
-        if con.sense == LE:
-            worst = max(worst, lhs - con.rhs)
-        elif con.sense == GE:
-            worst = max(worst, con.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - con.rhs))
-    if isinstance(problem, MILPProblem):
-        for j in problem.binary_vars:
-            worst = max(worst, abs(x[j] - round(x[j])))
+    A, b, eq = _standard_rows(lp)
+    excess = A @ x - b
+    worst = max(
+        float(np.max(np.where(eq, np.abs(excess), excess), initial=0.0)),
+        float(np.max(lp.lower - x, initial=0.0)),
+        float(np.max(x - lp.upper, initial=0.0)),
+    )
+    if isinstance(problem, MILPProblem) and problem.binary_vars:
+        xb = x[sorted(problem.binary_vars)]
+        worst = max(worst, float(np.max(np.abs(xb - np.round(xb)))))
     return worst
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from resguard import lp_milp
 from resguard.lp_milp import (
     EQ,
     GE,
@@ -267,3 +268,73 @@ def test_problem_dump_schema():
     assert dump["objective"] == [1.0, 2.0]
     assert dump["senses"] == ["<="]
     assert dump["binaries"] == [1]
+
+
+def _highs_lp(lp: LinearProgram):
+    """``scipy.optimize.linprog`` (HiGHS) on the same LP."""
+    ub = [(-c.coeffs, -c.rhs) if c.sense == GE else (c.coeffs, c.rhs) for c in lp.constraints if c.sense != EQ]
+    eq = [(c.coeffs, c.rhs) for c in lp.constraints if c.sense == EQ]
+    return linprog(
+        lp.objective,
+        A_ub=np.array([a for a, _ in ub]) if ub else None,
+        b_ub=np.array([b for _, b in ub]) if ub else None,
+        A_eq=np.array([a for a, _ in eq]) if eq else None,
+        b_eq=np.array([b for _, b in eq]) if eq else None,
+        bounds=list(zip(lp.lower, lp.upper)),
+        method="highs",
+    )
+
+
+def test_lp_warm_start_is_exact():
+    # A branch-and-bound child differs from its parent by one variable's
+    # bounds; started from the parent's basis it must land on the optimum a
+    # cold start and HiGHS find, or report infeasibility when the new bound
+    # leaves the polytope.
+    rng = np.random.default_rng(11)
+    infeasible_children = 0
+    for _ in range(50):
+        n = int(rng.integers(2, 13))
+        lo = rng.uniform(-5.0, 0.0, n)
+        hi = lo + rng.uniform(0.5, 8.0, n)
+        x_feas = rng.uniform(lo, hi)
+        cons = []
+        for _ in range(int(rng.integers(1, 21))):
+            a = rng.normal(size=n)
+            sense = rng.choice([LE, GE, EQ], p=[0.5, 0.3, 0.2])
+            slack = {LE: 0.5, GE: -0.5, EQ: 0.0}[sense] * abs(rng.normal())
+            cons.append(Constraint(a, sense, float(a @ x_feas) + slack))
+        lp = LinearProgram(rng.normal(size=n), tuple(cons), lo, hi)
+        parent = solve_lp(lp)
+        assert parent.status == Status.OPTIMAL
+
+        j = int(rng.integers(n))
+        value = float(rng.uniform(lo[j], hi[j]))
+        child_lo, child_hi = lo.copy(), hi.copy()
+        child_lo[j] = child_hi[j] = value
+        child_lp = lp.with_bounds(child_lo, child_hi)
+        warm = solve_lp(child_lp, basis=parent.basis)
+        cold = solve_lp(child_lp)
+        ref = _highs_lp(child_lp)
+        if ref.status == 2:
+            infeasible_children += 1
+            assert warm.status == cold.status == Status.INFEASIBLE
+            continue
+        assert ref.success
+        assert warm.status == cold.status == Status.OPTIMAL
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+        assert warm.objective == pytest.approx(ref.fun, abs=1e-6)
+        assert check_solution(child_lp, warm.x) <= 1e-7
+    assert infeasible_children >= 5
+
+
+def test_numerical_vertex_is_never_optimal(monkeypatch):
+    lp = LinearProgram(
+        np.array([-1.0, -1.0]),
+        (Constraint(np.array([1.0, 1.0]), LE, 1.5),),
+        np.zeros(2),
+        np.ones(2),
+    )
+    monkeypatch.setattr(lp_milp, "check_solution", lambda problem, x, tol=1e-7: 1.0)
+    sol = solve_lp(lp)
+    assert sol.status == Status.NUMERICAL and sol.x is None
+    assert solve_milp(MILPProblem(lp, frozenset({0, 1}))).status == Status.NUMERICAL
