@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .detector import PredictorBank, ThresholdConfig, residuals
-from .lp_milp import Constraint, LinearProgram, MILPProblem, Status, solve_milp, LE
+from .lp_milp import Basis, Constraint, LinearProgram, MILPProblem, Status, solve_milp, LE
 from .models import LinearModel, predict_batch, taylor_linearize
 from .plant import Dataset
 
@@ -206,6 +206,13 @@ def build_attack_milp(
     perturbations would not consume budget), and the budget row.  A
     nonlinear bank needs a finite trust region, which tightens the delta
     bounds to ``center +- trust_radius``.
+
+    The problem starts at the no-op attack ``delta = alpha = 0``: each
+    attackable delta is basic in its row ``delta - M alpha <= 0`` and every
+    other row keeps its slack.  That vertex is feasible whenever the clean
+    reading passes every detector and the delta bounds hold 0 (they do
+    unless a trust region is centred away from ``y``); otherwise the
+    simplex's phase 1 repairs it.
     """
     local = trust_radius is not None and math.isfinite(trust_radius)
     if not local:
@@ -254,6 +261,7 @@ def build_attack_milp(
         constraints.append(Constraint(row, LE, t + r0))
         constraints.append(Constraint(-row, LE, t - r0))
 
+    no_op_basic: dict[int, int] = {}  # activation row -> its delta column
     for s in sorted(inst.attackable):
         i = pos[s]
         # M must dominate the perturbation box or alpha would clip delta.
@@ -261,6 +269,7 @@ def build_attack_milp(
         row = np.zeros(n)
         row[i] = 1.0
         row[d + i] = -m_s
+        no_op_basic[len(constraints)] = i
         constraints.append(Constraint(row, LE, 0.0))
         row = np.zeros(n)
         row[i] = -1.0
@@ -276,7 +285,10 @@ def build_attack_milp(
     objective[pos[target]] = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
     lp = LinearProgram(objective, tuple(constraints), lower, upper)
     binaries = frozenset(d + pos[s] for s in inst.attackable)
-    return MILPProblem(lp, binaries)
+    N = n + len(constraints)
+    basic = np.arange(n, N)
+    basic[list(no_op_basic)] = list(no_op_basic.values())
+    return MILPProblem(lp, binaries, Basis(basic, np.zeros(N, dtype=bool)))
 
 
 def _delta(inst: AttackInstance, x: np.ndarray) -> np.ndarray:
@@ -464,16 +476,14 @@ def attack_nn(
                 continue
             cand = inst.y + _clean(inst, _delta(inst, sol.x))
             cand_obj = float(cand[target])
+            improvement = cur_obj - cand_obj if inst.direction == Direction.MINIMIZE else cand_obj - cur_obj
+            if improvement < 1e-9 and max(backoff.values()) <= 1e-9:
+                # Converged: until the centre moves, later regions only
+                # shrink (smaller eps, tighter tau_eff), so none can improve.
+                break
             viol = {s: r - tau.tau[s] for s, r in residuals(bank, cand).items()}
             if max(viol.values()) <= _ACCEPT_TOL:
-                improvement = (
-                    cur_obj - cand_obj
-                    if inst.direction == Direction.MINIMIZE
-                    else cand_obj - cur_obj
-                )
                 if improvement < 1e-9:
-                    if max(backoff.values()) <= 1e-9:
-                        break  # converged against the true boundaries
                     backoff = {s: 0.25 * v for s, v in backoff.items()}
                     continue
                 current = cand

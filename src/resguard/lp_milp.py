@@ -11,22 +11,26 @@ from the tableau on every iteration, so no cost row can drift.  Dantzig
 pricing is used until a run of degenerate pivots, after which Bland's rule
 takes over to rule out cycling.  Any basis can start the method: the
 slack basis with every structural variable at its lower bound (cold), or
-a basis returned by an earlier solve, which is refactorized.
+any other basis, which is refactorized.
 
 ``solve_milp`` wraps it in branch-and-bound over the binary variables with
-best-bound node selection and most-fractional branching; each child is
-warm-started from its parent's final basis, since the two differ by one
-bound.  A vertex that fails ``check_solution`` is reported as
-``NUMERICAL``, never as ``OPTIMAL``.
+best-bound node selection and most-fractional branching.  The root starts
+from the problem's own starting basis when it has one (the attack MILP
+starts at the no-op attack), else cold.  Each child is warm-started from
+its parent's final basis, since the two differ by one bound; the parent's
+basis is factored once for both children.  A vertex that fails
+``check_solution`` is reported as ``NUMERICAL``, never as ``OPTIMAL``.
 
 Sizes here are a few hundred variables at most, so everything is dense.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import NamedTuple
 
@@ -77,34 +81,71 @@ class LinearProgram:
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        if c.ndim != 1 or lo.shape != c.shape or hi.shape != c.shape:
+        if c.ndim != 1:
             raise ValueError("objective and bounds must be vectors of equal length")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not np.all(np.isfinite(c)):
             raise ValueError("objective and bounds must be finite")
-        if np.any(lo > hi + 1e-12):
-            raise ValueError("lower bound exceeds upper bound")
         for con in self.constraints:
             if con.coeffs.size != c.size:
                 raise ValueError("constraint length does not match variable count")
         object.__setattr__(self, "objective", c)
+        object.__setattr__(self, "constraints", tuple(self.constraints))
+        self._set_bounds(self.lower, self.upper)
+
+    def _set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
+        lo = np.asarray(lower, dtype=float)
+        hi = np.asarray(upper, dtype=float)
+        if lo.shape != self.objective.shape or hi.shape != self.objective.shape:
+            raise ValueError("objective and bounds must be vectors of equal length")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("objective and bounds must be finite")
+        if np.any(lo > hi + 1e-12):
+            raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", np.maximum(hi, lo))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
 
     @property
     def n_vars(self) -> int:
         return self.objective.size
 
+    @cached_property
+    def _standard(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(A, b, eq)`` with ``>=`` rows negated, so ``A x <= b`` on the
+        inequality rows and ``A x = b`` where ``eq``.  Read-only, and shared
+        with every ``with_bounds`` copy."""
+        cons = self.constraints
+        sign = np.array([-1.0 if c.sense == GE else 1.0 for c in cons])
+        A = np.array([c.coeffs for c in cons], dtype=float).reshape(len(cons), self.n_vars) * sign[:, None]
+        b = np.array([c.rhs for c in cons], dtype=float) * sign
+        eq = np.array([c.sense == EQ for c in cons], dtype=bool)
+        for array in (A, b, eq):
+            array.flags.writeable = False
+        return A, b, eq
+
     def with_bounds(self, lower: np.ndarray, upper: np.ndarray) -> "LinearProgram":
-        return LinearProgram(self.objective, self.constraints, lower, upper)
+        """The same rows and objective under new bounds; only the bounds are
+        validated, and the standard form is shared."""
+        child = copy.copy(self)
+        child._set_bounds(lower, upper)
+        return child
+
+
+class Basis(NamedTuple):
+    """A simplex basis over ``[x | slacks]``: the column basic in each row,
+    and which nonbasic columns rest at their upper bound."""
+
+    basic: np.ndarray
+    at_upper: np.ndarray
 
 
 @dataclass(frozen=True)
 class MILPProblem:
+    """``lp`` with ``binary_vars`` restricted to {0, 1}.  ``start``, when
+    given, is a basis of ``lp`` that the root relaxation starts from."""
+
     lp: LinearProgram
     binary_vars: frozenset[int]
+    start: Basis | None = None
 
     def __post_init__(self):
         binaries = frozenset(int(b) for b in self.binary_vars)
@@ -116,14 +157,6 @@ class MILPProblem:
         object.__setattr__(self, "binary_vars", binaries)
 
 
-class Basis(NamedTuple):
-    """A simplex basis over ``[x | slacks]``: the column basic in each row,
-    and which nonbasic columns rest at their upper bound."""
-
-    basic: np.ndarray
-    at_upper: np.ndarray
-
-
 @dataclass
 class MILPSolution:
     status: Status
@@ -133,43 +166,43 @@ class MILPSolution:
     basis: Basis | None = None
 
 
-def _standard_rows(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(A, b, eq)`` with ``>=`` rows negated, so ``A x <= b`` on the
-    inequality rows and ``A x = b`` where ``eq``."""
-    cons = lp.constraints
-    A = np.array([c.coeffs for c in cons], dtype=float).reshape(len(cons), lp.n_vars)
-    b = np.array([c.rhs for c in cons], dtype=float)
-    sign = np.array([-1.0 if c.sense == GE else 1.0 for c in cons])
-    eq = np.array([c.sense == EQ for c in cons], dtype=bool)
-    return A * sign[:, None], b * sign, eq
+def _factor(lp: LinearProgram, basic: np.ndarray) -> np.ndarray:
+    """The tableau ``B^-1 [A | I | b]`` of the basis whose columns are ``basic``."""
+    A, b, _ = lp._standard
+    full = np.hstack([A, np.eye(b.size), b[:, None]])
+    return np.linalg.solve(full[:, basic], full)
 
 
-def solve_lp(lp: LinearProgram, max_iterations: int | None = None, basis: Basis | None = None) -> MILPSolution:
+def solve_lp(
+    lp: LinearProgram,
+    max_iterations: int | None = None,
+    basis: Basis | None = None,
+    _tableau: np.ndarray | None = None,
+) -> MILPSolution:
     """Bounded-variable primal simplex over the boxed polytope.
 
     Starts from ``basis`` when given (a basis of an LP with the same rows,
     such as the parent of a branch-and-bound node), else from the slack
     basis.  ``max_iterations`` caps pivots plus bound flips.  On success
-    returns a vertex and its final basis.
+    returns a vertex and its final basis.  ``_tableau`` is ``basis``
+    already factored by ``_factor``, which the solve then overwrites.
     """
-    A, b, eq = _standard_rows(lp)
-    m, n = A.shape
+    _, b, eq = lp._standard
+    m, n = b.size, lp.n_vars
     N = n + m
     lo = np.concatenate([lp.lower, np.zeros(m)])
     hi = np.concatenate([lp.upper, np.where(eq, 0.0, np.inf)])
     cost = np.concatenate([lp.objective, np.zeros(m)])
     movable = hi > lo
-    full = np.hstack([A, np.eye(m), b[:, None]])  # [A | I | b]
     if max_iterations is None:
         max_iterations = 10 * N**2 + 100
 
-    if basis is None:
-        basic, at_upper, T = np.arange(n, N), np.zeros(N, dtype=bool), full.copy()
-    else:
-        if basis.basic.shape != (m,) or basis.at_upper.shape != (N,):
-            raise ValueError("basis does not match the LP's shape")
-        basic, at_upper = basis.basic.copy(), basis.at_upper.copy()
-        T = np.linalg.solve(full[:, basic], full)
+    if basis is None:  # cold: the slack basis, structurals at their lower bounds
+        basis = Basis(np.arange(n, N), np.zeros(N, dtype=bool))
+    if basis.basic.shape != (m,) or basis.at_upper.shape != (N,):
+        raise ValueError("basis does not match the LP's shape")
+    basic, at_upper = basis.basic.copy(), basis.at_upper.copy()
+    T = _factor(lp, basic) if _tableau is None else _tableau
     # Nonbasic values, and the sign that turns a reduced cost into the
     # gain of moving a nonbasic column off its bound (0: basic or fixed).
     z = np.where(at_upper, hi, lo)
@@ -211,7 +244,7 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None, basis: Basis 
                     if check_solution(lp, x) <= _FEAS_TOL:
                         return done(Status.OPTIMAL, x)
                 if not fresh:  # rule out drift in the updated tableau first
-                    T, fresh = np.linalg.solve(full[:, basic], full), True
+                    T, fresh = _factor(lp, basic), True
                     continue
                 return done(Status.INFEASIBLE if infeasible else Status.NUMERICAL)
             if iterations >= max_iterations:
@@ -271,16 +304,17 @@ def _most_fractional(x: np.ndarray, binaries: list[int]) -> tuple[int, float]:
 def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolution:
     """Branch-and-bound over the binaries, exact to the LP layer's tolerance.
 
+    The root relaxation starts from ``problem.start`` when given, else cold.
     Nodes are explored best-bound first; branching picks the most-fractional
-    binary, and each child LP starts from its parent's final basis.  Hitting
-    the node cap returns ``ITERATION_LIMIT``, and a node whose LP is
-    ``NUMERICAL`` returns ``NUMERICAL`` at once; both carry the best
-    incumbent so far.
+    binary, and both children start from their parent's final basis,
+    factored once for the pair.  Hitting the node cap returns
+    ``ITERATION_LIMIT``, and a node whose LP is ``NUMERICAL`` returns
+    ``NUMERICAL`` at once; both carry the best incumbent so far.
     """
     lp = problem.lp
     binaries = sorted(problem.binary_vars)
     if not binaries:
-        sol = solve_lp(lp)
+        sol = solve_lp(lp, basis=problem.start)
         sol.nodes_explored = 1
         return sol
     if node_cap is None:
@@ -293,7 +327,7 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
     inc_obj = math.inf
     hit_limit = False
 
-    root = solve_lp(lp)
+    root = solve_lp(lp, basis=problem.start)
     nodes_explored += 1
     if root.status in (Status.ITERATION_LIMIT, Status.NUMERICAL):
         return MILPSolution(root.status, None, math.inf, nodes_explored)
@@ -310,13 +344,14 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
             if obj < inc_obj:
                 incumbent, inc_obj = x, obj
             continue
+        tableau = _factor(lp, basis.basic)
         for val in (0.0, 1.0):
             if nodes_explored >= node_cap:
                 hit_limit = True
                 break
             child_lo, child_hi = lo.copy(), hi.copy()
             child_lo[j] = child_hi[j] = val
-            child = solve_lp(lp.with_bounds(child_lo, child_hi), basis=basis)
+            child = solve_lp(lp.with_bounds(child_lo, child_hi), basis=basis, _tableau=tableau.copy())
             nodes_explored += 1
             if child.status == Status.NUMERICAL:
                 return MILPSolution(Status.NUMERICAL, incumbent, inc_obj, nodes_explored)
@@ -341,7 +376,7 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
 def check_solution(problem: MILPProblem | LinearProgram, x: np.ndarray, tol: float = _FEAS_TOL) -> float:
     """Worst constraint violation of ``x`` against the raw problem data."""
     lp = problem.lp if isinstance(problem, MILPProblem) else problem
-    A, b, eq = _standard_rows(lp)
+    A, b, eq = lp._standard
     excess = A @ x - b
     worst = max(
         float(np.max(np.where(eq, np.abs(excess), excess), initial=0.0)),

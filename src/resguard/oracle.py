@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,18 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return adj
+
+    @cached_property
+    def independent(self) -> list[bool]:
+        """Whether each vertex subset, indexed by bitmask, has no internal
+        edge (a DP over the lowest vertex; built once per graph)."""
+        adj = self.adjacency_masks()
+        indep = [True] * (1 << self.n)
+        for mask in range(1, 1 << self.n):
+            low = (mask & -mask).bit_length() - 1
+            rest = mask & (mask - 1)
+            indep[mask] = indep[rest] and not (adj[low] & rest)
+        return indep
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -154,46 +167,33 @@ def arp_decision_bruteforce(inst: ReductionInstance) -> bool:
     Searches attacks whose per-sensor values are 0 or ``k + 1`` (the value
     the construction's solutions use) over every support of size at most
     the budget, and checks all detector residuals against the zero
-    thresholds plus the objective ``y_c >= k + 1``.
+    thresholds.  A support without ``c`` leaves ``y_c = 0``, short of the
+    objective ``y_c >= k + 1``, so only supports holding ``c`` are built,
+    as bitmasks over the sensors.
     """
     n = inst.graph.n
     if n > 10:
         raise ValueError(f"instance too large for brute force (n={n})")
-    n_sensors = inst.n_sensors
     c = inst.c_index
-    value = float(inst.target_value)
+    value = inst.target_value
+    indep = inst.graph.independent  # sensor c has no edges and never matters
+    sensors = range(inst.n_sensors)
 
-    # Memoize independence of vertex subsets (bitmask DP) so support
-    # enumeration stays cheap; sensor c has no edges and never matters.
-    adj = inst.graph.adjacency_masks()
-    indep = [True] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        indep[mask] = indep[rest] and not (adj[low] & rest)
-
-    def stealthy(y: np.ndarray) -> bool:
-        total = np.count_nonzero(y)
-        vmask_all = 0
-        for v in range(n):
-            if y[v] != 0:
-                vmask_all |= 1 << v
-        for s in range(n_sensors):
-            if y[s] == 0:
-                pred = 0.0
-            else:
-                vmask = vmask_all & ~(1 << s) if s < n else vmask_all
-                pred = float(total) if indep[vmask] else 0.0
-            if abs(y[s] - pred) > 0:
+    def stealthy(support: int, total: int) -> bool:
+        vertices = support & ~(1 << c)
+        for s in sensors:
+            reading = value if support >> s & 1 else 0
+            pred = total if reading and indep[vertices & ~(1 << s)] else 0
+            if abs(reading - pred) > 0:
                 return False
         return True
 
-    sensors = range(n_sensors)
-    for size in range(inst.budget + 1):
-        for support in itertools.combinations(sensors, size):
-            y = np.zeros(n_sensors)
-            y[list(support)] = value
-            if y[c] >= inst.target_value and stealthy(y):
+    for size in range(1, inst.budget + 1):
+        for others in itertools.combinations(range(n), size - 1):
+            support = 1 << c
+            for v in others:
+                support |= 1 << v
+            if stealthy(support, size):
                 return True
     return False
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from resguard.attack import (
     attack_linear,
     attack_nn,
     build_attack_milp,
+    default_alg1_config,
     instance_from_dataset,
     run_attack,
 )
@@ -24,10 +26,10 @@ from resguard.detector import (
     residuals,
     train_bank,
 )
-from resguard.lp_milp import GE, LE, Status, solve_milp
-from resguard.models import LinearModel, NeuralModel
+from resguard.lp_milp import EQ, GE, LE, Status, solve_milp
+from resguard.models import LinearModel, NeuralModel, TrainConfig
 from resguard.oracle import oracle_attack_enumerate, oracle_attack_grid
-from resguard.plant import desk_config, paper_scale_config, simulate, split_sequential
+from resguard.plant import Nonlinearity, desk_config, paper_scale_config, simulate, split_sequential
 
 
 def _identity_pair_bank(mutual: bool):
@@ -415,3 +417,131 @@ def test_attack_linear_matches_highs_at_paper_scale_budgets_4_5():
             assert result.objective - inst.y[target] == pytest.approx(ref, abs=1e-6 * max(1.0, abs(ref))), key
             assert result.feasible, key
             assert result.n_attacked <= budget, key
+
+
+def _no_op_vertex(problem):
+    """``[x | slacks]`` at ``problem.start``, refactorized with numpy from
+    the raw rows, with the bounds of every column."""
+    lp, start = problem.lp, problem.start
+    sign = np.array([-1.0 if c.sense == GE else 1.0 for c in lp.constraints])
+    A = np.array([c.coeffs for c in lp.constraints]) * sign[:, None]
+    b = np.array([c.rhs for c in lp.constraints]) * sign
+    m = b.size
+    full = np.hstack([A, np.eye(m)])
+    lo = np.concatenate([lp.lower, np.zeros(m)])
+    hi = np.concatenate([lp.upper, np.where([c.sense == EQ for c in lp.constraints], 0.0, np.inf)])
+    z = np.where(start.at_upper, hi, lo)
+    z[start.basic] = 0.0
+    z[start.basic] = np.linalg.solve(full[:, start.basic], b - full @ z)
+    return z, lo, hi
+
+
+def _assert_no_op_start(problem):
+    start = problem.start
+    n = problem.lp.n_vars
+    assert start is not None
+    assert not start.at_upper.any()
+    assert len(set(start.basic.tolist())) == start.basic.size
+    z, lo, hi = _no_op_vertex(problem)
+    np.testing.assert_allclose(z[:n], 0.0, atol=1e-12)  # delta = alpha = 0
+    assert np.all(z >= lo - 1e-9) and np.all(z <= hi + 1e-9)
+
+
+def test_attack_milp_starts_at_the_no_op_vertex():
+    rng = np.random.default_rng(404)
+    for trial in range(20):
+        bank, tau, inst = random_linear_setup(rng, all_finite_eta=trial % 2 == 0)
+        d = inst.y.size
+        if trial % 3 == 0:
+            # Some sensors not attackable, and one attackable with eta = 0.
+            attackable = frozenset(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist())
+            eta = inst.eta.copy()
+            eta[min(attackable)] = 0.0
+            inst = replace(inst, attackable=attackable, budget=min(inst.budget, len(attackable)), eta=eta)
+        for target in inst.critical:
+            _assert_no_op_start(build_attack_milp(bank, tau, inst, target))
+
+    data = simulate(paper_scale_config(seed=7), 7200)
+    train, test = split_sequential(data, 0.8)
+    bank = train_bank(train, family="linear")
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, 5)
+    inst = instance_from_dataset(train, test.values[0], budget=3)
+    assert attack.stealth_margin(bank, tau, inst.y) <= 0.0  # the clean row passes
+    for target in inst.critical:
+        _assert_no_op_start(build_attack_milp(bank, tau, inst, target))
+
+
+def _highs_result(problem):
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lp = problem.lp
+    A = np.array([c.coeffs for c in lp.constraints])
+    lo = np.array([-np.inf if c.sense == LE else c.rhs for c in lp.constraints])
+    hi = np.array([np.inf if c.sense == GE else c.rhs for c in lp.constraints])
+    integrality = np.zeros(lp.n_vars)
+    integrality[sorted(problem.binary_vars)] = 1
+    return milp(
+        lp.objective,
+        constraints=LinearConstraint(A, lo, hi),
+        bounds=Bounds(lp.lower, lp.upper),
+        integrality=integrality,
+        options={"mip_rel_gap": 0.0},
+    )
+
+
+def test_no_op_start_matches_cold_start_and_highs():
+    """The no-op start changes the path, never the answer: against a cold
+    root and HiGHS on random affine attacks, and on neural trust regions
+    centred more than ``eps`` from ``y``, where the start is out of bounds
+    and phase 1 repairs it."""
+    rng = np.random.default_rng(405)
+    problems = []
+    for _ in range(30):
+        bank, tau, inst = random_linear_setup(rng)
+        problems.append(build_attack_milp(bank, tau, inst, inst.critical[0]))
+    for _ in range(10):
+        bank = _tanh_pair_bank(rng)
+        y = rng.normal(0.0, 0.3, 2)
+        res = residuals(bank, y)
+        tau = ThresholdConfig({s: res[s] + 0.8 for s in (0, 1)})
+        inst = AttackInstance(y=y, sensor_columns=(0, 1), critical=(0,), budget=int(rng.integers(1, 3)), eta=2.0)
+        eps = 0.3
+        center = y.copy()
+        for j in rng.choice(2, size=int(rng.integers(1, 3)), replace=False):
+            center[j] += rng.choice([-1.0, 1.0]) * rng.uniform(eps + 0.05, 0.8)
+        problems.append(build_attack_milp(bank, tau, inst, 0, trust_radius=eps, center=center))
+    statuses = []
+    for problem in problems:
+        warm = solve_milp(problem)
+        cold = solve_milp(replace(problem, start=None))
+        ref = _highs_result(problem)
+        statuses.append(warm.status)
+        assert warm.status == cold.status
+        if ref.status == 2:  # infeasible
+            assert warm.status == Status.INFEASIBLE
+            continue
+        assert ref.status == 0, ref.message
+        assert warm.status == Status.OPTIMAL
+        tol = 1e-6 * max(1.0, abs(ref.fun))
+        assert warm.objective == pytest.approx(ref.fun, abs=tol)
+        assert cold.objective == pytest.approx(ref.fun, abs=tol)
+    assert Status.OPTIMAL in statuses[30:] and Status.INFEASIBLE in statuses[30:]
+
+
+def test_attack_nn_stops_once_the_target_cannot_move(monkeypatch):
+    """Desk tanh bank, test row 21, B=1: once the linearized optimum stops
+    moving the target, the descent ends instead of halving ``eps`` down to
+    ``epsilon_min``.  Same answer as before, in fewer than the 44 MILP
+    solves the descent used to take."""
+    cfg = desk_config(seed=7, nonlinearity=Nonlinearity.TANH, nonlinear_channels=(0,))
+    train, test = split_sequential(simulate(cfg, 1200), 0.8)
+    bank = train_bank(train, family="neural", train_cfg=TrainConfig(epochs=2000, seed=7))
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
+    solves = []
+    real = attack.solve_milp
+    monkeypatch.setattr(attack, "solve_milp", lambda problem: solves.append(1) or real(problem))
+    inst = instance_from_dataset(train, test.values[21], budget=1)
+    result = run_attack(bank, tau, inst, default_alg1_config(train))
+    assert result.objective == pytest.approx(1.412270879653422, abs=1e-9)
+    assert result.feasible
+    assert len(solves) < 44
