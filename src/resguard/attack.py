@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .detector import PredictorBank, ThresholdConfig, residuals
-from .lp_milp import Basis, Constraint, LinearProgram, MILPProblem, Status, solve_milp, LE
+from .lp_milp import Basis, LinearProgram, MILPProblem, Status, solve_milp
 from .models import LinearModel, predict_batch, taylor_linearize
 from .plant import Dataset
 
@@ -201,11 +201,15 @@ def build_attack_milp(
     Variables are (delta, alpha) per sensor column.  Each detector's signed
     residual ``prediction - reading`` at ``y + delta`` is affine in delta:
     exact for a ``LinearModel``, the first-order expansion at ``center``
-    otherwise.  Rows: that residual within ``[-tau, tau]``, two-sided
-    activation ``|delta| <= M alpha`` (both signs, otherwise negative
-    perturbations would not consume budget), and the budget row.  A
-    nonlinear bank needs a finite trust region, which tightens the delta
-    bounds to ``center +- trust_radius``.
+    otherwise.  Rows, filled straight into one matrix in this order: that
+    residual within ``[-tau, tau]`` (a pair per detector), two-sided
+    activation ``|delta| <= M alpha`` (a pair per attackable sensor, both
+    signs, otherwise negative perturbations would not consume budget), and
+    the budget row.  A nonlinear bank needs a finite trust region, which
+    tightens the delta bounds to ``center +- trust_radius``.  When those
+    bounds exclude 0 the sensor must be perturbed, so its ``alpha`` gets
+    lower bound 1; the feasible set stays the same, and more such sensors
+    than the budget make the root LP infeasible at once.
 
     The problem starts at the no-op attack ``delta = alpha = 0``: each
     attackable delta is basic in its row ``delta - M alpha <= 0`` and every
@@ -223,27 +227,26 @@ def build_attack_milp(
         if s not in tau.tau:
             raise ValueError(f"no threshold for detector {s}")
 
-    sensors = inst.sensor_columns
-    pos = {s: i for i, s in enumerate(sensors)}
+    sensors = list(inst.sensor_columns)
     d = len(sensors)
     y = inst.y
     center = y if center is None else np.asarray(center, dtype=float)
+    pos = np.full(y.size, -1)  # column -> its delta variable, -1 if not a sensor
+    pos[sensors] = np.arange(d)
 
     dlo, dhi = inst.delta_bounds()
     if local:
         dlo = np.maximum(dlo, center - trust_radius - y)
         dhi = np.minimum(dhi, center + trust_radius - y)
 
+    attackable = sorted(inst.attackable)
+    att = pos[attackable]
+    n_det, n_att = len(bank.detector_set), len(attackable)
     n = 2 * d  # [delta | alpha]
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    lower[:d] = dlo[list(sensors)]
-    upper[:d] = dhi[list(sensors)]
-    for s in inst.attackable:
-        upper[d + pos[s]] = 1.0
+    A = np.zeros((2 * n_det + 2 * n_att + 1, n))
+    rhs = np.zeros(A.shape[0])
 
-    constraints: list[Constraint] = []
-    for s in bank.detector_set:
+    for k, s in enumerate(bank.detector_set):
         entry = bank.detectors[s]
         feats = entry.feature_indices
         if isinstance(entry.model, LinearModel):
@@ -252,43 +255,43 @@ def build_attack_milp(
             w, b = taylor_linearize(entry.model, center[feats])
         # The residual at y + delta is r0 - row . delta.
         r0 = float(w @ y[feats]) + b - y[s]
-        row = np.zeros(n)
+        row = A[2 * k]
         row[pos[s]] = 1.0
-        for w_j, f in zip(w, feats):
-            if int(f) in pos:
-                row[pos[int(f)]] -= w_j
+        cols = pos[feats]
+        keep = cols >= 0
+        np.subtract.at(row, cols[keep], w[keep])
+        A[2 * k + 1] = -row
         t = tau.tau[s]
-        constraints.append(Constraint(row, LE, t + r0))
-        constraints.append(Constraint(-row, LE, t - r0))
+        rhs[2 * k] = t + r0
+        rhs[2 * k + 1] = t - r0
 
-    no_op_basic: dict[int, int] = {}  # activation row -> its delta column
-    for s in sorted(inst.attackable):
-        i = pos[s]
-        # M must dominate the perturbation box or alpha would clip delta.
-        m_s = max(abs(dlo[s]), abs(dhi[s]))
-        row = np.zeros(n)
-        row[i] = 1.0
-        row[d + i] = -m_s
-        no_op_basic[len(constraints)] = i
-        constraints.append(Constraint(row, LE, 0.0))
-        row = np.zeros(n)
-        row[i] = -1.0
-        row[d + i] = -m_s
-        constraints.append(Constraint(row, LE, 0.0))
+    # Activation rows delta - M alpha <= 0 and -delta - M alpha <= 0 per
+    # attackable sensor; M must dominate the perturbation box or alpha
+    # would clip delta.
+    act = 2 * n_det + 2 * np.arange(n_att)
+    big_m = np.maximum(np.abs(dlo[attackable]), np.abs(dhi[attackable]))
+    A[act, att] = 1.0
+    A[act + 1, att] = -1.0
+    A[act, d + att] = A[act + 1, d + att] = -big_m
+    A[-1, d + att] = 1.0  # the budget row
+    rhs[-1] = float(inst.budget)
 
-    budget_row = np.zeros(n)
-    for s in inst.attackable:
-        budget_row[d + pos[s]] = 1.0
-    constraints.append(Constraint(budget_row, LE, float(inst.budget)))
+    lower = np.zeros(n)
+    upper = np.zeros(n)
+    lower[:d] = dlo[sensors]
+    upper[:d] = dhi[sensors]
+    upper[d + att] = 1.0
+    # Presolve: a sensor whose delta box excludes 0 is attacked.
+    forced = (dlo[attackable] > 0.0) | (dhi[attackable] < 0.0)
+    lower[d + att[forced]] = 1.0
 
     objective = np.zeros(n)
     objective[pos[target]] = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
-    lp = LinearProgram(objective, tuple(constraints), lower, upper)
-    binaries = frozenset(d + pos[s] for s in inst.attackable)
-    N = n + len(constraints)
+    lp = LinearProgram.from_arrays(objective, A, rhs, lower, upper)
+    N = n + A.shape[0]
     basic = np.arange(n, N)
-    basic[list(no_op_basic)] = list(no_op_basic.values())
-    return MILPProblem(lp, binaries, Basis(basic, np.zeros(N, dtype=bool)))
+    basic[act] = att
+    return MILPProblem(lp, frozenset((d + att).tolist()), Basis(basic, np.zeros(N, dtype=bool)))
 
 
 def _delta(inst: AttackInstance, x: np.ndarray) -> np.ndarray:
@@ -395,22 +398,23 @@ def _probe_seeds(
         if len(supports) >= max_supports:
             break
 
-    rows = []
+    blocks = []
     for support in supports:
         per_axis = {1: 33, 2: 65}.get(len(support), 7)
         axes = []
         for s in support:
             pts = np.unique(np.concatenate([np.linspace(dlo[s], dhi[s], per_axis), [0.0]]))
             axes.append(pts[(pts >= dlo[s] - 1e-12) & (pts <= dhi[s] + 1e-12)])
-        for combo in itertools.product(*axes):
-            row = inst.y.copy()
-            for s, d in zip(support, combo):
-                row[s] += d
-            rows.append(row)
-    if not rows:
+        # One row per lattice point, in itertools.product order.
+        grid = np.meshgrid(*axes, indexing="ij")
+        block = np.tile(inst.y, (grid[0].size, 1))
+        for s, offsets in zip(support, grid):
+            block[:, s] += offsets.ravel()
+        blocks.append(block)
+    if not blocks:
         return []
 
-    matrix = np.asarray(rows)
+    matrix = np.vstack(blocks)
     margins = np.full(matrix.shape[0], -np.inf)
     for s in bank.detector_set:
         entry = bank.detectors[s]

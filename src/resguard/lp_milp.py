@@ -70,27 +70,55 @@ class Constraint:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-@dataclass(frozen=True)
 class LinearProgram:
-    """Minimize ``objective . x`` subject to rows and finite box bounds."""
+    """Minimize ``objective . x`` subject to ``A x <= b`` (``A x = b`` on
+    the rows where ``eq``) and finite box bounds.
 
-    objective: np.ndarray
-    constraints: tuple[Constraint, ...]
-    lower: np.ndarray
-    upper: np.ndarray
+    That standard form is the data.  ``LinearProgram(objective, constraints,
+    lower, upper)`` stacks ``Constraint`` rows into it, negating ``>=`` rows;
+    ``from_arrays`` takes the arrays as they are.  Either way the form is
+    validated once, as whole arrays, and made read-only; ``with_bounds``
+    copies share it.
+    """
 
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
+    def __init__(self, objective, constraints, lower, upper):
+        cons = tuple(constraints)
+        if cons:
+            sign = np.array([-1.0 if con.sense == GE else 1.0 for con in cons])
+            A = np.array([con.coeffs for con in cons]) * sign[:, None]
+            b = np.array([con.rhs for con in cons]) * sign
+        else:
+            A, b = np.zeros((0, np.size(objective))), np.zeros(0)
+        self._set_form(objective, A, b, [con.sense == EQ for con in cons])
+        self._set_bounds(lower, upper)
+
+    @classmethod
+    def from_arrays(cls, objective, A, b, lower, upper, eq=None) -> "LinearProgram":
+        """The LP with rows ``A x <= b``, or ``A x = b`` where ``eq`` (default:
+        no equality rows)."""
+        lp = cls.__new__(cls)
+        lp._set_form(objective, A, b, eq)
+        lp._set_bounds(lower, upper)
+        return lp
+
+    def _set_form(self, objective, A, b, eq) -> None:
+        c = np.array(objective, dtype=float)
         if c.ndim != 1:
             raise ValueError("objective and bounds must be vectors of equal length")
         if not np.all(np.isfinite(c)):
             raise ValueError("objective and bounds must be finite")
-        for con in self.constraints:
-            if con.coeffs.size != c.size:
-                raise ValueError("constraint length does not match variable count")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        self._set_bounds(self.lower, self.upper)
+        A = np.array(A, dtype=float)
+        b = np.array(b, dtype=float)
+        eq = np.zeros(b.shape, dtype=bool) if eq is None else np.array(eq, dtype=bool)
+        if A.ndim != 2 or A.shape[1] != c.size:
+            raise ValueError("constraint length does not match variable count")
+        if b.shape != (A.shape[0],) or eq.shape != b.shape:
+            raise ValueError("constraint matrix, right-hand side and senses must have matching rows")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("constraint data must be finite")
+        for array in (c, A, b, eq):
+            array.flags.writeable = False
+        self.objective, self.A, self.b, self.eq = c, A, b, eq
 
     def _set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
         lo = np.asarray(lower, dtype=float)
@@ -101,30 +129,22 @@ class LinearProgram:
             raise ValueError("objective and bounds must be finite")
         if np.any(lo > hi + 1e-12):
             raise ValueError("lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", np.maximum(hi, lo))
+        self.lower = lo
+        self.upper = np.maximum(hi, lo)
 
     @property
     def n_vars(self) -> int:
         return self.objective.size
 
     @cached_property
-    def _standard(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(A, b, eq)`` with ``>=`` rows negated, so ``A x <= b`` on the
-        inequality rows and ``A x = b`` where ``eq``.  Read-only, and shared
-        with every ``with_bounds`` copy."""
-        cons = self.constraints
-        sign = np.array([-1.0 if c.sense == GE else 1.0 for c in cons])
-        A = np.array([c.coeffs for c in cons], dtype=float).reshape(len(cons), self.n_vars) * sign[:, None]
-        b = np.array([c.rhs for c in cons], dtype=float) * sign
-        eq = np.array([c.sense == EQ for c in cons], dtype=bool)
-        for array in (A, b, eq):
-            array.flags.writeable = False
-        return A, b, eq
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows as ``Constraint``s, in order; ``>=`` rows come back as the
+        negated ``<=`` rows they are stored as."""
+        return tuple(Constraint(a, EQ if e else LE, float(r)) for a, r, e in zip(self.A, self.b, self.eq))
 
     def with_bounds(self, lower: np.ndarray, upper: np.ndarray) -> "LinearProgram":
         """The same rows and objective under new bounds; only the bounds are
-        validated, and the standard form is shared."""
+        validated."""
         child = copy.copy(self)
         child._set_bounds(lower, upper)
         return child
@@ -168,8 +188,7 @@ class MILPSolution:
 
 def _factor(lp: LinearProgram, basic: np.ndarray) -> np.ndarray:
     """The tableau ``B^-1 [A | I | b]`` of the basis whose columns are ``basic``."""
-    A, b, _ = lp._standard
-    full = np.hstack([A, np.eye(b.size), b[:, None]])
+    full = np.hstack([lp.A, np.eye(lp.b.size), lp.b[:, None]])
     return np.linalg.solve(full[:, basic], full)
 
 
@@ -187,8 +206,8 @@ def solve_lp(
     returns a vertex and its final basis.  ``_tableau`` is ``basis``
     already factored by ``_factor``, which the solve then overwrites.
     """
-    _, b, eq = lp._standard
-    m, n = b.size, lp.n_vars
+    eq = lp.eq
+    m, n = eq.size, lp.n_vars
     N = n + m
     lo = np.concatenate([lp.lower, np.zeros(m)])
     hi = np.concatenate([lp.upper, np.where(eq, 0.0, np.inf)])
@@ -376,10 +395,9 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
 def check_solution(problem: MILPProblem | LinearProgram, x: np.ndarray, tol: float = _FEAS_TOL) -> float:
     """Worst constraint violation of ``x`` against the raw problem data."""
     lp = problem.lp if isinstance(problem, MILPProblem) else problem
-    A, b, eq = lp._standard
-    excess = A @ x - b
+    excess = lp.A @ x - lp.b
     worst = max(
-        float(np.max(np.where(eq, np.abs(excess), excess), initial=0.0)),
+        float(np.max(np.where(lp.eq, np.abs(excess), excess), initial=0.0)),
         float(np.max(lp.lower - x, initial=0.0)),
         float(np.max(x - lp.upper, initial=0.0)),
     )

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -26,8 +27,8 @@ from resguard.detector import (
     residuals,
     train_bank,
 )
-from resguard.lp_milp import EQ, GE, LE, Status, solve_milp
-from resguard.models import LinearModel, NeuralModel, TrainConfig
+from resguard.lp_milp import EQ, GE, LE, Constraint, Status, solve_milp
+from resguard.models import LinearModel, NeuralModel, TrainConfig, predict_batch, taylor_linearize
 from resguard.oracle import oracle_attack_enumerate, oracle_attack_grid
 from resguard.plant import Nonlinearity, desk_config, paper_scale_config, simulate, split_sequential
 
@@ -545,3 +546,175 @@ def test_attack_nn_stops_once_the_target_cannot_move(monkeypatch):
     assert result.objective == pytest.approx(1.412270879653422, abs=1e-9)
     assert result.feasible
     assert len(solves) < 44
+
+
+def _tanh_bank(rng, d):
+    """``d`` sensors, each watched by a one-hidden-layer tanh net over all
+    the others."""
+    detectors = {}
+    for s in range(d):
+        w1 = rng.normal(0.0, 0.9, (3, d - 1))
+        b1 = rng.normal(0.0, 0.2, 3)
+        w2 = rng.normal(0.0, 0.9, (1, 3))
+        b2 = rng.normal(0.0, 0.2, 1)
+        feats = np.array([j for j in range(d) if j != s])
+        detectors[s] = DetectorEntry(NeuralModel(((w1, b1), (w2, b2))), s, feats)
+    return PredictorBank(detectors, tuple(range(d)))
+
+
+def test_forced_activations_are_presolved_exactly():
+    """A trust region centred more than ``eps`` from ``y`` on a sensor
+    excludes delta = 0 there, so that sensor's alpha gets lower bound 1 and
+    every other alpha keeps 0.  The answer equals HiGHS on the same MILP
+    with those bounds reset to 0, also when more sensors are forced than
+    the budget allows."""
+    rng = np.random.default_rng(406)
+    eps = 0.3
+    outcomes = set()
+    for _ in range(40):
+        d = int(rng.integers(2, 5))
+        bank = _tanh_bank(rng, d)
+        y = rng.normal(0.0, 0.3, d)
+        res = residuals(bank, y)
+        tau = ThresholdConfig({s: res[s] + float(rng.uniform(0.2, 1.0)) for s in range(d)})
+        budget = int(rng.integers(1, d + 1))
+        inst = AttackInstance(y=y, sensor_columns=tuple(range(d)), critical=(0,), budget=budget, eta=2.0)
+        moved = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+        center = y.copy()
+        center[moved] += rng.choice([-1.0, 1.0], moved.size) * rng.uniform(eps + 0.05, 0.8, moved.size)
+        problem = build_attack_milp(bank, tau, inst, 0, trust_radius=eps, center=center)
+
+        lp = problem.lp
+        forced = np.zeros(d)
+        forced[moved] = 1.0
+        assert np.array_equal(lp.lower[d:], forced)
+        unforced = lp.lower.copy()
+        unforced[d:] = 0.0
+        ref = _highs_result(replace(problem, lp=lp.with_bounds(unforced, lp.upper)))
+        sol = solve_milp(problem)
+        over_budget = moved.size > budget
+        if ref.status == 2:  # infeasible
+            assert sol.status == Status.INFEASIBLE
+        else:
+            assert not over_budget and ref.status == 0, ref.message
+            assert sol.status == Status.OPTIMAL
+            assert sol.objective == pytest.approx(ref.fun, abs=1e-6 * max(1.0, abs(ref.fun)))
+        outcomes.add((over_budget, sol.status))
+    assert {(True, Status.INFEASIBLE), (False, Status.INFEASIBLE), (False, Status.OPTIMAL)} <= outcomes
+
+
+def _reference_rows(bank, tau, inst, trust_radius=None, center=None):
+    """The attack MILP's rows built one ``Constraint`` at a time: the loop
+    reference for the matrix build."""
+    sensors = inst.sensor_columns
+    pos = {s: i for i, s in enumerate(sensors)}
+    d, y = len(sensors), inst.y
+    center = y if center is None else center
+    dlo, dhi = inst.delta_bounds()
+    if trust_radius is not None:
+        dlo = np.maximum(dlo, center - trust_radius - y)
+        dhi = np.minimum(dhi, center + trust_radius - y)
+    rows = []
+    for s in bank.detector_set:
+        entry = bank.detectors[s]
+        feats = entry.feature_indices
+        if isinstance(entry.model, LinearModel):
+            w, b = entry.model.w, entry.model.b
+        else:
+            w, b = taylor_linearize(entry.model, center[feats])
+        r0 = float(w @ y[feats]) + b - y[s]
+        row = np.zeros(2 * d)
+        row[pos[s]] = 1.0
+        for w_j, f in zip(w, feats):
+            if int(f) in pos:
+                row[pos[int(f)]] -= w_j
+        rows += [Constraint(row, LE, tau.tau[s] + r0), Constraint(-row, LE, tau.tau[s] - r0)]
+    for s in sorted(inst.attackable):
+        i = pos[s]
+        for sign in (1.0, -1.0):
+            row = np.zeros(2 * d)
+            row[i] = sign
+            row[d + i] = -max(abs(dlo[s]), abs(dhi[s]))
+            rows.append(Constraint(row, LE, 0.0))
+    row = np.zeros(2 * d)
+    row[[d + pos[s] for s in inst.attackable]] = 1.0
+    rows.append(Constraint(row, LE, float(inst.budget)))
+    return rows
+
+
+def test_attack_milp_matrix_equals_row_by_row_build():
+    rng = np.random.default_rng(407)
+    cases = []
+    for trial in range(10):
+        bank, tau, inst = random_linear_setup(rng)
+        if trial % 2:
+            attackable = frozenset(rng.choice(inst.y.size, size=int(rng.integers(1, inst.y.size + 1)), replace=False).tolist())
+            inst = replace(inst, attackable=attackable, budget=min(inst.budget, len(attackable)))
+        cases.append((bank, tau, inst, None, None))
+    train, test = split_sequential(simulate(desk_config(seed=7), 600), 0.8)  # features include controls
+    bank = train_bank(train, family="linear")
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
+    cases.append((bank, tau, instance_from_dataset(train, test.values[0], budget=2), None, None))
+    for _ in range(10):
+        d = int(rng.integers(2, 5))
+        bank = _tanh_bank(rng, d)
+        y = rng.normal(0.0, 0.3, d)
+        tau = ThresholdConfig({s: r + 0.5 for s, r in residuals(bank, y).items()})
+        inst = AttackInstance(y=y, sensor_columns=tuple(range(d)), critical=(0,), budget=1, eta=2.0)
+        cases.append((bank, tau, inst, 0.3, y + rng.uniform(-0.6, 0.6, d)))
+    for bank, tau, inst, eps, center in cases:
+        lp = build_attack_milp(bank, tau, inst, inst.critical[0], trust_radius=eps, center=center).lp
+        reference = _reference_rows(bank, tau, inst, eps, center)
+        assert len(lp.constraints) == len(reference)
+        for got, want in zip(lp.constraints, reference):
+            assert got.sense == want.sense and got.rhs == want.rhs
+            assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def _reference_probe_seeds(bank, tau, inst, target):
+    """``_probe_seeds`` with its lattice built one row at a time in
+    ``itertools.product`` order: the loop reference for the vectorized
+    lattice."""
+    dlo, dhi = inst.delta_bounds()
+    supports = []
+    for size in range(min(inst.budget, 3), 0, -1):
+        supports += list(itertools.combinations(sorted(inst.attackable), size))[: 8 - len(supports)]
+    rows = []
+    for support in supports:
+        per_axis = {1: 33, 2: 65}.get(len(support), 7)
+        axes = []
+        for s in support:
+            pts = np.unique(np.concatenate([np.linspace(dlo[s], dhi[s], per_axis), [0.0]]))
+            axes.append(pts[(pts >= dlo[s] - 1e-12) & (pts <= dhi[s] + 1e-12)])
+        for combo in itertools.product(*axes):
+            row = inst.y.copy()
+            for s, step in zip(support, combo):
+                row[s] += step
+            rows.append(row)
+    matrix = np.asarray(rows)
+    margins = np.full(matrix.shape[0], -np.inf)
+    for s in bank.detector_set:
+        entry = bank.detectors[s]
+        preds = predict_batch(entry.model, matrix[:, entry.feature_indices])
+        margins = np.maximum(margins, np.abs(preds - matrix[:, s]) - tau.tau[s])
+    feasible = matrix[margins <= attack._ACCEPT_TOL]
+    seeds = []
+    for i in np.argsort(feasible[:, target], kind="stable"):
+        row = feasible[i]
+        if len(seeds) < 3 and all(np.max(np.abs(row - s)) > 1e-9 for s in seeds) and np.max(np.abs(row - inst.y)) > 1e-9:
+            seeds.append(row)
+    return seeds
+
+
+def test_probe_seeds_match_the_product_lattice():
+    rng = np.random.default_rng(408)
+    for budget in (1, 2, 3, 3, 3, 3):
+        bank = _tanh_bank(rng, 4)
+        y = rng.normal(0.0, 0.3, 4)
+        tau = ThresholdConfig({s: r + 0.4 for s, r in residuals(bank, y).items()})
+        target = int(rng.integers(4))
+        inst = AttackInstance(y=y, sensor_columns=(0, 1, 2, 3), critical=(target,), budget=budget, eta=1.5)
+        got = attack._probe_seeds(bank, tau, inst, target)
+        want = _reference_probe_seeds(bank, tau, inst, target)
+        assert got and len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -1,0 +1,48 @@
+"""numpy is resguard's only runtime dependency: attacks run with scipy
+unimportable."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_SCRIPT = r"""
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+
+from resguard.attack import default_alg1_config, instance_from_dataset, run_attack
+from resguard.detector import calibrate_baseline, fp_curve, train_bank
+from resguard.models import TrainConfig
+from resguard.plant import Nonlinearity, desk_config, simulate, split_sequential
+
+for family, cfg in [
+    ("linear", desk_config(seed=7)),
+    ("neural", desk_config(seed=7, nonlinearity=Nonlinearity.TANH, nonlinear_channels=(0,))),
+]:
+    train, test = split_sequential(simulate(cfg, 600), 0.8)
+    bank = train_bank(train, family=family, train_cfg=TrainConfig(epochs=200, seed=7))
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
+    inst = instance_from_dataset(train, test.values[1], budget=1)
+    result = run_attack(bank, tau, inst, default_alg1_config(train))
+    assert result.feasible and result.n_attacked <= 1, family
+    print(family, result.solver_status, result.objective)
+assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+"""
+
+
+def test_attacks_run_without_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split()[:2] for line in proc.stdout.splitlines()] == [["linear", "optimal"], ["neural", "optimal"]]

@@ -338,3 +338,71 @@ def test_numerical_vertex_is_never_optimal(monkeypatch):
     sol = solve_lp(lp)
     assert sol.status == Status.NUMERICAL and sol.x is None
     assert solve_milp(MILPProblem(lp, frozenset({0, 1}))).status == Status.NUMERICAL
+
+
+def _random_rows(rng, n, m):
+    """``m`` random rows of every sense, feasible at a planted point of the
+    box ``[lo, hi]``; returns the rows and the box."""
+    lo = rng.uniform(-3.0, 0.0, n)
+    hi = lo + rng.uniform(0.5, 4.0, n)
+    x_feas = rng.uniform(lo, hi)
+    cons = []
+    for _ in range(m):
+        a = rng.normal(size=n)
+        sense = rng.choice([LE, GE, EQ], p=[0.5, 0.3, 0.2])
+        slack = {LE: 0.5, GE: -0.5, EQ: 0.0}[sense] * abs(rng.normal())
+        cons.append(Constraint(a, sense, float(a @ x_feas) + slack))
+    return tuple(cons), lo, hi
+
+
+def test_lp_from_arrays_equals_constraint_rows():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(0, 9))
+        cons, lo, hi = _random_rows(rng, n, m)
+        c = rng.normal(size=n)
+        sign = np.array([-1.0 if con.sense == GE else 1.0 for con in cons])
+        A = np.array([con.coeffs for con in cons]).reshape(m, n) * sign[:, None]
+        b = np.array([con.rhs for con in cons]) * sign
+        eq = np.array([con.sense == EQ for con in cons], dtype=bool)
+        from_rows = LinearProgram(c, cons, lo, hi)
+        from_arrays = LinearProgram.from_arrays(c, A, b, lo, hi, eq=eq)
+        for x, y in zip((from_rows.A, from_rows.b, from_rows.eq), (from_arrays.A, from_arrays.b, from_arrays.eq)):
+            assert np.array_equal(x, y)
+            assert not x.flags.writeable
+        sol_rows, sol_arrays = solve_lp(from_rows), solve_lp(from_arrays)
+        assert sol_rows.status == sol_arrays.status == Status.OPTIMAL
+        assert np.array_equal(sol_rows.x, sol_arrays.x) and sol_rows.objective == sol_arrays.objective
+
+
+def test_lp_from_arrays_validation():
+    c, lo, hi = np.ones(2), np.zeros(2), np.ones(2)
+    A, b = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 2.0])
+    assert not LinearProgram.from_arrays(c, A, b, lo, hi).eq.any()  # default: no equality rows
+    for bad_A, bad_b, bad_eq in [
+        (np.array([[1.0, np.nan], [3.0, 4.0]]), b, None),
+        (A, np.array([1.0, np.inf]), None),
+        (A[:, :1], b, None),
+        (A, b[:1], None),
+        (A, b, np.zeros(3, dtype=bool)),
+        (A[0], b[:1], None),
+    ]:
+        with pytest.raises(ValueError):
+            LinearProgram.from_arrays(c, bad_A, bad_b, lo, hi, eq=bad_eq)
+    with pytest.raises(ValueError):
+        LinearProgram(c, (Constraint(np.ones(3), LE, 1.0),), lo, hi)
+
+
+def test_lp_constraints_view_round_trips():
+    rng = np.random.default_rng(12)
+    cons, lo, hi = _random_rows(rng, 4, 12)
+    lp = LinearProgram(rng.normal(size=4), cons, lo, hi)
+    again = LinearProgram(lp.objective, lp.constraints, lo, hi)
+    for x, y in zip((lp.A, lp.b, lp.eq), (again.A, again.b, again.eq)):
+        assert np.array_equal(x, y)
+    assert lp.constraints is lp.with_bounds(lo, hi).constraints
+    # Rows come back in order; a >= row as the <= row it is stored as.
+    for given, view in zip(cons, lp.constraints):
+        sign = -1.0 if given.sense == GE else 1.0
+        assert view.sense == (EQ if given.sense == EQ else LE)
+        assert np.array_equal(view.coeffs, sign * given.coeffs) and view.rhs == sign * given.rhs
