@@ -12,6 +12,7 @@ the trust radius whenever the linearization lied.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -21,7 +22,7 @@ import numpy as np
 
 from .detector import PredictorBank, ThresholdConfig, residuals
 from .lp_milp import Basis, LinearProgram, MILPProblem, Status, solve_milp
-from .models import LinearModel, predict_batch, taylor_linearize
+from .models import taylor_linearize
 from .plant import Dataset
 
 STEALTH_TOL = 1e-6     # certificate slack on residual - tau
@@ -160,6 +161,10 @@ class AttackResult:
 
     ``feasible`` certifies that every detector residual at ``y_tilde`` is
     within ``STEALTH_TOL`` of its threshold under exact forward propagation.
+    The one honest unstealthy result is the no-op on a clean row that
+    already alarms: ``solver_status="infeasible"`` when the exact MILP proves
+    that no stealthy attack exists, ``"clean_alarm"`` when the iterative
+    attack found none.
     """
 
     y_tilde: np.ndarray
@@ -176,16 +181,17 @@ class AttackResult:
         return int(np.count_nonzero(self.delta))
 
 
-def stealth_margin(bank: PredictorBank, tau: ThresholdConfig, row: np.ndarray) -> float:
-    """Worst ``residual - tau`` across detectors; <= 0 means fully stealthy."""
-    res = residuals(bank, row)
-    return max(res[s] - tau.tau[s] for s in bank.detector_set)
+def stealth_margin(bank: PredictorBank, tau: ThresholdConfig, rows: np.ndarray) -> float | np.ndarray:
+    """Worst ``residual - tau`` across detectors, at a row (a float) or at
+    each row of a matrix (a vector); <= 0 means fully stealthy."""
+    res = residuals(bank, rows)
+    margin = functools.reduce(np.maximum, (res[s] - tau.tau[s] for s in bank.detector_set))
+    return margin if np.ndim(rows) == 2 else float(margin)
 
 
 def _require_affine(bank: PredictorBank) -> None:
-    for s, entry in bank.detectors.items():
-        if not isinstance(entry.model, LinearModel):
-            raise TypeError(f"detector for column {s} is not affine")
+    if not bank.is_affine():
+        raise TypeError("the detector bank is not affine")
 
 
 def build_attack_milp(
@@ -249,10 +255,7 @@ def build_attack_milp(
     for k, s in enumerate(bank.detector_set):
         entry = bank.detectors[s]
         feats = entry.feature_indices
-        if isinstance(entry.model, LinearModel):
-            w, b = entry.model.w, entry.model.b
-        else:
-            w, b = taylor_linearize(entry.model, center[feats])
+        w, b = taylor_linearize(entry.model, center[feats])
         # The residual at y + delta is r0 - row . delta.
         r0 = float(w @ y[feats]) + b - y[s]
         row = A[2 * k]
@@ -365,7 +368,7 @@ def attack_linear(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstanc
     if best is None:
         sign = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
         target = min(inst.critical, key=lambda s: sign * inst.y[s])
-        status = "numerical" if numerical else "infeasible"
+        status = "numerical" if numerical else "iteration_limit" if hit_limit else "infeasible"
         return _result(bank, tau, inst, target, np.zeros_like(inst.y), total_nodes, status)
     status = "numerical" if numerical else "iteration_limit" if hit_limit else "optimal"
     return replace(best, iterations=total_nodes, solver_status=status)
@@ -415,12 +418,7 @@ def _probe_seeds(
         return []
 
     matrix = np.vstack(blocks)
-    margins = np.full(matrix.shape[0], -np.inf)
-    for s in bank.detector_set:
-        entry = bank.detectors[s]
-        preds = predict_batch(entry.model, matrix[:, entry.feature_indices])
-        margins = np.maximum(margins, np.abs(preds - matrix[:, s]) - tau.tau[s])
-    feasible = matrix[margins <= _ACCEPT_TOL]
+    feasible = matrix[stealth_margin(bank, tau, matrix) <= _ACCEPT_TOL]
 
     sign = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
     order = np.argsort(sign * feasible[:, target], kind="stable") if feasible.size else []
@@ -514,9 +512,12 @@ def attack_nn(
                     inst.direction, float(point[target]), float(final_point[target])
                 ):
                     final_point = point
+        status = "optimal"
         if final_point is None:
-            final_point = inst.y  # nothing stealthy found; honest no-op
-        final = _result(bank, tau, inst, target, final_point - inst.y, total_iters, "optimal")
+            # The descent from the clean row ends at a stealthy point or at
+            # the clean row, so the clean row alarms: an honest no-op.
+            final_point, status = inst.y, "clean_alarm"
+        final = _result(bank, tau, inst, target, final_point - inst.y, total_iters, status)
         if best is None or _better(inst.direction, final.objective, best.objective):
             best = final
     assert best is not None  # critical is nonempty by construction

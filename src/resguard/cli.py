@@ -12,6 +12,7 @@ limit, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import math
@@ -89,7 +90,9 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None) -> dict:
-    cfg = DEFAULT_CONFIG
+    """The defaults merged with the config file at ``path``, as a fresh copy
+    the caller may change."""
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
             with open(path) as fh:
@@ -119,7 +122,7 @@ def _require(path: Path, producer: str) -> Path:
 
 def _plant_config(cfg: dict) -> plant_mod.PlantConfig:
     spec = cfg["plant"]
-    preset = spec.get("preset", "desk")
+    preset = spec["preset"]
     overrides = dict(spec.get("overrides", {}))
     if "nonlinearity" in overrides:
         overrides["nonlinearity"] = plant_mod.Nonlinearity(overrides["nonlinearity"])
@@ -156,7 +159,7 @@ def cmd_simulate(cfg: dict) -> int:
     out = _out_dir(cfg)
     (out / "data").mkdir(parents=True, exist_ok=True)
     pconf = _plant_config(cfg)
-    steps = int(cfg["plant"].get("steps", 1200))
+    steps = int(cfg["plant"]["steps"])
     data = plant_mod.simulate(pconf, steps)
     plant_mod.save_csv(data, out / "data" / "clean.csv", out / "data" / "roles.json")
     print(f"simulate: wrote {data.n_rows} rows x {data.n_columns} columns to {out / 'data'}")
@@ -166,15 +169,15 @@ def cmd_simulate(cfg: dict) -> int:
 def _train_config(cfg: dict) -> models_mod.TrainConfig:
     t = cfg["train"]
     return models_mod.TrainConfig(
-        epochs=int(t.get("epochs", 2000)),
-        learning_rate=float(t.get("learning_rate", 0.01)),
-        hidden_layers=tuple(t.get("hidden_layers", (16, 16))),
+        epochs=int(t["epochs"]),
+        learning_rate=float(t["learning_rate"]),
+        hidden_layers=tuple(t["hidden_layers"]),
         seed=int(cfg["seed"]),
     )
 
 
 def _split(cfg: dict, data: plant_mod.Dataset):
-    return plant_mod.split_sequential(data, float(cfg["train"].get("train_fraction", 0.8)))
+    return plant_mod.split_sequential(data, float(cfg["train"]["train_fraction"]))
 
 
 def cmd_train(cfg: dict) -> int:
@@ -186,7 +189,7 @@ def cmd_train(cfg: dict) -> int:
         train,
         family=family,
         train_cfg=_train_config(cfg),
-        feature_mode=cfg["train"].get("feature_mode", detector_mod.FEATURE_MODE_NON_CRITICAL),
+        feature_mode=cfg["train"]["feature_mode"],
     )
 
     models_dir = out / "models"
@@ -260,27 +263,32 @@ def _attack_setup(cfg: dict, out: Path):
     bank = _load_bank(cfg, out)
     tau = detector_mod.load_thresholds(_require(out / "thresholds" / "baseline.json", "calibrate"))
     aspec = cfg["attack"]
-    eta = aspec.get("eta")
+    eta = aspec["eta"]
     eta_value = math.inf if eta is None else float(eta)
-    direction = attack_mod.Direction(aspec.get("direction", "minimize"))
+    direction = attack_mod.Direction(aspec["direction"])
     template = attack_mod.instance_from_dataset(
         train,
         test.values[0],
-        budget=int(aspec.get("budget", 2)),
+        budget=int(aspec["budget"]),
         eta=eta_value,
         direction=direction,
     )
     alg1 = None
     if not bank.is_affine():
-        alg1 = attack_mod.default_alg1_config(train, n_max=int(aspec.get("n_max", 50)))
+        alg1 = attack_mod.default_alg1_config(train, n_max=int(aspec["n_max"]))
     return train, test, bank, tau, template, alg1
 
 
 def _check_solver_status(result: attack_mod.AttackResult) -> None:
+    """Reject a result the CLI cannot back up: a solver fault, or an attack
+    that is not stealthy other than the honest no-op on a clean row that
+    already alarms (see ``AttackResult``)."""
     if result.solver_status == "iteration_limit":
         raise SolverLimitError("attack solver hit its node cap; result is not proven optimal")
     if result.solver_status == "numerical":
         raise NumericalError("attack solver returned a candidate that fails the stealth certificate")
+    if not result.feasible and result.solver_status not in ("infeasible", "clean_alarm"):
+        raise NumericalError(f"attack is not stealthy (solver status {result.solver_status!r})")
 
 
 def cmd_attack(cfg: dict) -> int:
@@ -307,7 +315,7 @@ def cmd_attack(cfg: dict) -> int:
 
     # Budget sweep on the full critical set.
     sweep = []
-    for b in aspec.get("budgets", [0, 1, 2, 3, 4, 5]):
+    for b in aspec["budgets"]:
         inst = replace(template, budget=int(b))
         result = attack_mod.run_attack(bank, tau, inst, alg1)
         _check_solver_status(result)
@@ -319,7 +327,7 @@ def cmd_attack(cfg: dict) -> int:
             writer.writerow([b, name, repr(float(obj)), feas])
 
     # Per-timestep attacks over the leading test rows.
-    n_rows = min(int(aspec.get("rows", 10)), test.n_rows)
+    n_rows = min(int(aspec["rows"]), test.n_rows)
     with open(attack_dir / "trajectory.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "target", "objective", "n_attacked"])
@@ -338,7 +346,7 @@ def cmd_attack(cfg: dict) -> int:
     with open(attack_dir / "attack_report.json", "w") as fh:
         json.dump(
             {
-                "budget": int(aspec.get("budget", 2)),
+                "budget": int(aspec["budget"]),
                 "direction": template.direction.value,
                 "per_target": report_entries,
                 "budget_sweep": [
@@ -359,14 +367,14 @@ def cmd_defend(cfg: dict) -> int:
     train, test, bank, tau, template, alg1 = _attack_setup(cfg, out)
     dspec = cfg["defense"]
     curves = detector_mod.fp_curve(bank, train)
-    eps = dspec.get("epsilon")
+    eps = dspec["epsilon"]
     if eps is None:
         eps = 0.1 * float(np.mean([tau.tau[s] for s in bank.detector_set])) or 0.05
     dconf = defense_mod.DefenseConfig(
-        gamma=float(dspec.get("gamma", 0.0)),
+        gamma=float(dspec["gamma"]),
         epsilon=float(eps),
-        n_max=int(dspec.get("n_max", 8)),
-        horizon=int(dspec.get("horizon", 5)),
+        n_max=int(dspec["n_max"]),
+        horizon=int(dspec["horizon"]),
     )
     outcome = defense_mod.resilient_thresholds(bank, tau, curves, test, train, template, dconf, alg1)
 

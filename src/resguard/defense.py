@@ -11,7 +11,7 @@ the baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -25,11 +25,12 @@ _TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ImpactReport:
-    """Mean per-sensor attack deviation |y_tilde - y| over a horizon."""
+    """Mean per-sensor attack deviation |y_tilde - y| over a horizon, and
+    the worst (sensor, impact), ties going to the lowest sensor."""
 
     per_sensor: Mapping[int, float]
-    worst: tuple[int, float]
     horizon: int
+    worst: tuple[int, float] = field(init=False)
 
     def __post_init__(self):
         per = {int(k): float(v) for k, v in self.per_sensor.items()}
@@ -110,7 +111,7 @@ def impact(
     for s in inst_template.critical:
         results = _attack_rows(bank, tau, rows, inst_template, s, alg1)
         per[s] = float(np.mean([abs(r.y_tilde[s] - rows[t, s]) for t, r in enumerate(results)]))
-    return ImpactReport(per, (0, 0.0), rows.shape[0])
+    return ImpactReport(per, rows.shape[0])
 
 
 def total_false_alarms(bank: PredictorBank, tau: ThresholdConfig, clean: Dataset) -> int:

@@ -23,7 +23,6 @@ from .models import (
     fit_linear,
     fit_nn,
     EnsembleModel,
-    predict,
     predict_batch,
 )
 from .plant import Dataset
@@ -126,43 +125,31 @@ class FPCurve:
         return int(self.size - np.searchsorted(self.residuals, tau, side="right"))
 
 
-def _check_row(bank: PredictorBank, row: np.ndarray) -> np.ndarray:
-    row = np.asarray(row, dtype=float)
-    if row.ndim != 1:
-        raise ValueError("row must be a vector")
+def residuals(bank: PredictorBank, rows) -> dict[int, float] | dict[int, np.ndarray]:
+    """Residual ``|f_s(features) - reading_s|`` of every detector: a float
+    per detector at one row, a vector per detector over a matrix's rows."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim not in (1, 2):
+        raise ValueError("rows must be a vector or a matrix")
     needed = max(
         max((int(e.feature_indices.max(initial=0)) for e in bank.detectors.values()), default=0),
         max(bank.detector_set),
     )
-    if row.size <= needed:
-        raise ValueError(f"row of length {row.size} does not cover column {needed}")
-    return row
-
-
-def residuals(bank: PredictorBank, row) -> dict[int, float]:
-    """Residual ``|f_s(features) - row[s]|`` for every detector at one row."""
-    row = _check_row(bank, row)
+    if rows.shape[-1] <= needed:
+        raise ValueError(f"rows of length {rows.shape[-1]} do not cover column {needed}")
+    X = np.atleast_2d(rows)
     out = {}
     for s in bank.detector_set:
         entry = bank.detectors[s]
-        pred = predict(entry.model, row[entry.feature_indices])
-        out[s] = abs(pred - float(row[s]))
-    return out
-
-
-def residual_matrix(bank: PredictorBank, data: Dataset) -> dict[int, np.ndarray]:
-    """Residuals over all rows of a dataset, one vector per detector."""
-    out = {}
-    for s in bank.detector_set:
-        entry = bank.detectors[s]
-        pred = predict_batch(entry.model, data.values[:, entry.feature_indices])
-        out[s] = np.abs(pred - data.values[:, s])
+        out[s] = np.abs(predict_batch(entry.model, X[:, entry.feature_indices]) - X[:, s])
+    if rows.ndim == 1:
+        return {s: float(r[0]) for s, r in out.items()}
     return out
 
 
 def alarms(bank: PredictorBank, data: Dataset, tau: ThresholdConfig) -> dict[int, list[int]]:
     """Row indices flagged per detector (residual strictly above tau)."""
-    res = residual_matrix(bank, data)
+    res = residuals(bank, data.values)
     out = {}
     for s in bank.detector_set:
         if s not in tau.tau:
@@ -175,7 +162,7 @@ def fp_curve(bank: PredictorBank, clean: Dataset) -> dict[int, FPCurve]:
     """Empirical false-positive curves from an attack-free reference window."""
     if clean.n_rows < 2:
         raise ValueError("reference window needs at least 2 rows")
-    res = residual_matrix(bank, clean)
+    res = residuals(bank, clean.values)
     return {s: FPCurve(s, np.sort(res[s])) for s in bank.detector_set}
 
 

@@ -1,11 +1,11 @@
 """Per-sensor regression predictors: linear, feed-forward neural, ensemble.
 
-All three families share the same evaluation surface (``predict``,
-``jacobian``, ``taylor_linearize``) so downstream code can linearize any
-detector at an operating point.  Training normalizes features and targets
-with z-scores computed on the training split; stored models carry the
-scaler so predictions and gradients are in engineering units, while MSE
-reporting uses normalized values.
+All three families share one evaluation surface: ``predict_batch``
+evaluates a model and ``taylor_linearize`` linearizes it at an operating
+point (``predict`` and ``jacobian`` are views of them).  Training
+normalizes features and targets with z-scores computed on the training
+split; stored models carry the scaler so predictions and gradients are in
+engineering units, while MSE reporting uses normalized values.
 """
 
 from __future__ import annotations
@@ -320,27 +320,18 @@ def _check_dim(model: Model, x: np.ndarray) -> np.ndarray:
 
 def predict(model: Model, x) -> float:
     """Evaluate the predictor at a single input (engineering units)."""
-    x = _check_dim(model, x)
-    if isinstance(model, LinearModel):
-        return float(model.w @ x + model.b)
-    if isinstance(model, NeuralModel):
-        scaler = model.scaler or Scaler.identity(model.n_features)
-        _, out = _forward_batch(model.layers, scaler.transform_x(x)[None, :])
-        return float(scaler.y_mean + scaler.y_std * out[0])
-    if isinstance(model, EnsembleModel):
-        return 0.5 * (predict(model.nn, x) + predict(model.lr, x))
-    raise TypeError(f"unsupported model type {type(model)!r}")
+    return float(predict_batch(model, _check_dim(model, x)[None, :])[0])
 
 
 def predict_batch(model: Model, X) -> np.ndarray:
-    """Vectorized ``predict`` over the rows of a feature matrix."""
+    """Evaluate the predictor at every row of a feature matrix."""
     X = _as_matrix(X)
     if X.shape[1] != model.n_features:
         raise ValueError("feature count mismatch")
     if isinstance(model, LinearModel):
         return X @ model.w + model.b
     if isinstance(model, NeuralModel):
-        scaler = model.scaler or Scaler.identity(model.n_features)
+        scaler = _scaler_of(model)
         _, out = _forward_batch(model.layers, scaler.transform_x(X))
         return scaler.y_mean + scaler.y_std * out
     if isinstance(model, EnsembleModel):
@@ -348,33 +339,33 @@ def predict_batch(model: Model, X) -> np.ndarray:
     raise TypeError(f"unsupported model type {type(model)!r}")
 
 
-def jacobian(model: Model, x) -> np.ndarray:
-    """Exact gradient of the prediction with respect to the input."""
-    x = _check_dim(model, x)
+def taylor_linearize(model: Model, x0) -> tuple[np.ndarray, float]:
+    """First-order expansion at ``x0``: returns (w, b) with w.x0 + b == predict(x0).
+
+    ``w`` is the exact gradient; a ``LinearModel`` returns its own ``w`` and
+    ``b``.  A neural net takes its prediction and the hidden activations its
+    gradient needs from one forward pass.
+    """
+    x0 = _check_dim(model, x0)
     if isinstance(model, LinearModel):
-        return model.w.copy()
+        return model.w.copy(), model.b
     if isinstance(model, NeuralModel):
-        scaler = model.scaler or Scaler.identity(model.n_features)
-        h = scaler.transform_x(x)
-        acts = []
-        for W, b in model.layers[:-1]:
-            h = np.tanh(W @ h + b)
-            acts.append(h)
-        g = model.layers[-1][0][0].copy()
+        scaler = _scaler_of(model)
+        acts, out = _forward_batch(model.layers, scaler.transform_x(x0)[None, :])
+        g = model.layers[-1][0][0]
         for (W, _), a in zip(reversed(model.layers[:-1]), reversed(acts)):
-            g = (g * (1.0 - a**2)) @ W
-        return scaler.y_std * g / scaler.x_std
+            g = (g * (1.0 - a[0] ** 2)) @ W
+        w = scaler.y_std * g / scaler.x_std
+        return w, float(scaler.y_mean + scaler.y_std * out[0]) - float(w @ x0)
     if isinstance(model, EnsembleModel):
-        return 0.5 * (jacobian(model.nn, x) + jacobian(model.lr, x))
+        w_nn, b_nn = taylor_linearize(model.nn, x0)
+        return 0.5 * (w_nn + model.lr.w), 0.5 * (b_nn + model.lr.b)
     raise TypeError(f"unsupported model type {type(model)!r}")
 
 
-def taylor_linearize(model: Model, x0) -> tuple[np.ndarray, float]:
-    """First-order expansion at ``x0``: returns (w, b) with w.x0 + b == predict(x0)."""
-    x0 = _check_dim(model, x0)
-    w = jacobian(model, x0)
-    b = predict(model, x0) - float(w @ x0)
-    return w, b
+def jacobian(model: Model, x) -> np.ndarray:
+    """Exact gradient of the prediction with respect to the input."""
+    return taylor_linearize(model, x)[0]
 
 
 def normalized_mse(model: Model, features, targets) -> float:

@@ -28,7 +28,6 @@ from resguard.detector import (
     alarms,
     calibrate_baseline,
     fp_curve,
-    residual_matrix,
     residuals,
     train_bank,
     feature_indices_for,
@@ -279,7 +278,7 @@ def test_criterion_8_defense_guarantees():
 
     # Attack during nominal operation: rows whose clean residuals sit well
     # below every baseline threshold.
-    res = residual_matrix(bank, data)
+    res = residuals(bank, data.values)
     ratio = np.max(np.stack([res[s] / tau.tau[s] for s in bank.detector_set]), axis=0)
     rows = data.values[np.nonzero(ratio <= 0.5)[0][-4:]]
     inst = instance_from_dataset(data, rows[0], budget=1)

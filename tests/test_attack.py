@@ -27,8 +27,8 @@ from resguard.detector import (
     residuals,
     train_bank,
 )
-from resguard.lp_milp import EQ, GE, LE, Constraint, Status, solve_milp
-from resguard.models import LinearModel, NeuralModel, TrainConfig, predict_batch, taylor_linearize
+from resguard.lp_milp import EQ, GE, LE, Constraint, MILPSolution, Status, solve_milp
+from resguard.models import EnsembleModel, LinearModel, NeuralModel, TrainConfig, predict_batch, taylor_linearize
 from resguard.oracle import oracle_attack_enumerate, oracle_attack_grid
 from resguard.plant import Nonlinearity, desk_config, paper_scale_config, simulate, split_sequential
 
@@ -350,6 +350,16 @@ def test_attack_linear_reports_numerical_lp(monkeypatch):
     assert result.solver_status == "numerical"
     assert result.n_attacked == 0
     assert result.feasible
+
+
+def test_attack_linear_without_an_incumbent_at_the_node_cap_says_so(monkeypatch):
+    bank = _identity_pair_bank(mutual=True)
+    tau = ThresholdConfig({0: 1.0, 1: 1.0})
+    inst = AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0, 1), budget=1)
+    monkeypatch.setattr(attack, "solve_milp", lambda problem: MILPSolution(Status.ITERATION_LIMIT, None, None, 7))
+    result = attack_linear(bank, tau, inst)
+    assert result.solver_status == "iteration_limit"
+    assert result.n_attacked == 0 and result.iterations == 14
 
 
 def _highs_objective(problem):
@@ -718,3 +728,38 @@ def test_probe_seeds_match_the_product_lattice():
         want = _reference_probe_seeds(bank, tau, inst, target)
         assert got and len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_stealth_margin_over_a_matrix_equals_per_row_margins():
+    rng = np.random.default_rng(31)
+    tanh = _tanh_bank(rng, 4)
+    linear, ensemble = {}, {}
+    for s, entry in tanh.detectors.items():
+        lr = LinearModel(rng.normal(size=3), 0.1)
+        linear[s] = DetectorEntry(lr, s, entry.feature_indices)
+        ensemble[s] = DetectorEntry(EnsembleModel(entry.model, lr), s, entry.feature_indices)
+    linear, ensemble = PredictorBank(linear, tanh.detector_set), PredictorBank(ensemble, tanh.detector_set)
+    tau = ThresholdConfig({s: 0.3 for s in range(4)})
+    rows = rng.normal(0.0, 0.5, (50, 4))
+    for bank in (linear, tanh, ensemble):
+        margins = attack.stealth_margin(bank, tau, rows)
+        assert margins.shape == (50,)
+        for row, margin in zip(rows, margins):
+            per_row = attack.stealth_margin(bank, tau, row)
+            assert type(per_row) is float
+            assert abs(margin - per_row) <= 1e-12
+
+
+def test_attack_nn_reports_an_alarming_clean_row():
+    """A row pushed over its threshold, with no room to perturb: the honest
+    no-op, marked as such and not stealthy."""
+    rng = np.random.default_rng(5)
+    bank = _tanh_bank(rng, 3)
+    y = rng.normal(0.0, 0.3, 3)
+    res = residuals(bank, y)
+    tau = ThresholdConfig({s: r + 0.4 for s, r in res.items()}).with_values({0: 0.5 * res[0]})
+    inst = AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(1,), budget=1, eta=0.0)
+    result = attack_nn(bank, tau, inst, Alg1Config(epsilon0=1.0, epsilon_min=1.0 / 2**10, n_max=10))
+    assert result.solver_status == "clean_alarm"
+    assert result.feasible is False
+    assert result.n_attacked == 0

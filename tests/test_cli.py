@@ -1,12 +1,15 @@
+import copy
 import csv
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
 from _helpers import stealth_breaking_solve
 from resguard import attack
 from resguard.cli import (
+    DEFAULT_CONFIG,
     EXIT_CONFIG,
     EXIT_DEPENDENCY,
     EXIT_NUMERIC,
@@ -130,3 +133,37 @@ def test_attack_exits_numeric_on_certificate_failure(pipeline_dir, tmp_path, mon
     shutil.copytree(out, run)
     monkeypatch.setattr(attack, "solve_milp", stealth_breaking_solve)
     assert main(["attack", "--config", str(cfg_path), "--out", str(run)]) == EXIT_NUMERIC
+
+
+def test_overrides_leave_the_defaults_alone(tmp_path):
+    before = copy.deepcopy(DEFAULT_CONFIG)
+    for seed, budget, gamma in (("5", "3", "0.5"), ("6", "4", "1.5")):
+        argv = ["report", "--out", str(tmp_path / seed), "--seed", seed, "--budget", budget, "--gamma", gamma]
+        assert main(argv + ["--family", "neural"]) == EXIT_DEPENDENCY
+    assert DEFAULT_CONFIG == before
+    assert load_config(None) == before
+
+
+def test_attack_exits_numeric_on_an_unstealthy_result(pipeline_dir, tmp_path, monkeypatch):
+    out, cfg_path = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    real = attack.run_attack
+    monkeypatch.setattr(attack, "run_attack", lambda *args: replace(real(*args), feasible=False))
+    assert main(["attack", "--config", str(cfg_path), "--out", str(run)]) == EXIT_NUMERIC
+
+
+def test_attack_accepts_the_no_op_on_an_alarming_row(pipeline_dir, tmp_path):
+    out, cfg_path = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    # At zero thresholds every clean row alarms, and without a budget no
+    # attack can hide it.
+    baseline = run / "thresholds" / "baseline.json"
+    thresholds = json.loads(baseline.read_text())
+    thresholds["tau"] = {name: 0.0 for name in thresholds["tau"]}
+    baseline.write_text(json.dumps(thresholds))
+    assert main(["attack", "--config", str(cfg_path), "--out", str(run)]) == EXIT_OK
+    with open(run / "attack" / "budget_sweep.csv", newline="") as fh:
+        sweep = {int(rec["budget"]): rec["feasible"] for rec in csv.DictReader(fh)}
+    assert sweep[0] == "False"

@@ -73,7 +73,7 @@ def test_impact_matches_per_row_oracle():
 
 
 def test_impact_report_worst_is_argmax():
-    report = ImpactReport({3: 1.0, 5: 4.0, 7: 4.0}, (0, 0.0), 2)
+    report = ImpactReport({3: 1.0, 5: 4.0, 7: 4.0}, 2)
     assert report.worst == (5, 4.0)  # ties break to the smaller sensor id
 
 

@@ -17,7 +17,7 @@ from resguard.detector import (
     thresholds_to_json,
     train_bank,
 )
-from resguard.models import LinearModel, predict
+from resguard.models import LinearModel, TrainConfig, predict
 from resguard.plant import Column, Dataset, Role, desk_config, simulate
 
 
@@ -46,6 +46,40 @@ def test_residuals_row_too_short():
     bank, _ = constant_bank(3, (2,), values=(0.0,), taus=(1.0,))
     with pytest.raises(ValueError):
         residuals(bank, np.array([1.0]))
+
+
+@pytest.fixture(scope="module", params=["linear", "neural", "ensemble"])
+def family_bank(request):
+    """A trained bank of each model family and the rows it was trained on."""
+    data = simulate(desk_config(seed=5), 200)
+    bank = train_bank(data, family=request.param, train_cfg=TrainConfig(epochs=30, seed=5))
+    return bank, data.values
+
+
+def test_residuals_one_row_matrix_equals_vector_form(family_bank):
+    bank, rows = family_bank
+    for row in rows[:20]:
+        as_matrix = residuals(bank, row[None, :])
+        assert residuals(bank, row) == {s: float(r[0]) for s, r in as_matrix.items()}
+
+
+def test_residuals_matrix_matches_rows(family_bank):
+    bank, rows = family_bank
+    res = residuals(bank, rows)
+    for s in bank.detector_set:
+        assert isinstance(res[s], np.ndarray) and res[s].shape == (rows.shape[0],)
+    for t, row in enumerate(rows):
+        for s, r in residuals(bank, row).items():
+            assert isinstance(r, float)
+            assert abs(res[s][t] - r) <= 1e-12
+
+
+def test_residuals_matrix_too_narrow(family_bank):
+    bank, rows = family_bank
+    with pytest.raises(ValueError):
+        residuals(bank, rows[:, :-1])
+    with pytest.raises(ValueError):
+        residuals(bank, rows[None, :, :])
 
 
 def _dataset_from_rows(rows):

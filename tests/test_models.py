@@ -164,6 +164,15 @@ def test_taylor_linear_fixed_point():
         assert np.allclose(w, m.w) and abs(b - m.b) < 1e-12
 
 
+def test_taylor_linear_returns_its_own_parameters():
+    m = LinearModel(np.array([0.1, 0.7, -0.3]), 0.1)
+    x0 = np.array([1e8, -3.3, 0.2])
+    w, b = taylor_linearize(m, x0)
+    assert b == m.b and np.array_equal(w, m.w)
+    w[0] = 5.0
+    assert m.w[0] == 0.1  # a copy, not the model's own array
+
+
 def test_taylor_reproduces_predict_and_local_error():
     rng = np.random.default_rng(13)
     model = random_neural_model(rng, k=3)
