@@ -342,7 +342,8 @@ def _better(direction: Direction, a: float, b: float) -> bool:
 
 def attack_linear(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstance) -> AttackResult:
     """Exact attack on an affine bank: solve the MILP for every critical
-    target and keep the best objective in the chosen direction.
+    target and keep the best objective in the chosen direction.  Each
+    target's MILP starts from the previous one's root basis.
 
     A candidate whose attack fails the stealth certificate is a solver
     fault, not an attack: it is dropped and the result reports
@@ -353,8 +354,13 @@ def attack_linear(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstanc
     best: AttackResult | None = None
     total_nodes = 0
     hit_limit = numerical = False
+    warm: Basis | None = None
     for target in inst.critical:
-        sol = solve_milp(build_attack_milp(bank, tau, inst, target))
+        prob = build_attack_milp(bank, tau, inst, target)
+        # Targets differ only in the objective, so the previous target's
+        # root vertex is primal feasible here.
+        sol = solve_milp(prob if warm is None else replace(prob, start=warm))
+        warm = sol.basis
         total_nodes += sol.nodes_explored
         hit_limit |= sol.status == Status.ITERATION_LIMIT
         numerical |= sol.status == Status.NUMERICAL
@@ -456,9 +462,14 @@ def attack_nn(
     of coarse verified-feasible probe points.  Accepted iterates are always
     verified against the true models, so the objective never worsens along
     a descent.
+
+    A target's trust-region MILPs share their rows, columns and objective;
+    only the centre, the radius and the tightened thresholds change.  So
+    each starts from the root basis of the last one that ended optimal,
+    across all of the target's descents.
     """
 
-    def descend(target: int, seed: np.ndarray) -> tuple[np.ndarray, int]:
+    def descend(target: int, seed: np.ndarray, warm: Basis | None) -> tuple[np.ndarray, int, Basis | None]:
         current = seed.copy()
         cur_obj = float(current[target])
         eps = cfg.epsilon0
@@ -470,7 +481,9 @@ def attack_nn(
                 {s: max(tau.tau[s] - backoff[s], 0.0) for s in bank.detector_set}
             )
             prob = build_attack_milp(bank, tau_eff, inst, target, trust_radius=eps, center=current)
-            sol = solve_milp(prob)
+            sol = solve_milp(prob if warm is None else replace(prob, start=warm))
+            if sol.status == Status.OPTIMAL:
+                warm = sol.basis
             if sol.status != Status.OPTIMAL or sol.x is None:
                 # Possibly over-tightened; relax and shrink the region.
                 eps /= 2.0
@@ -497,15 +510,16 @@ def attack_nn(
                     if v > 0:
                         backoff[s] += 1.5 * v + 1e-12
                 eps /= 2.0
-        return current, iters
+        return current, iters, warm
 
     best: AttackResult | None = None
     for target in inst.critical:
         seeds = [inst.y] + _probe_seeds(bank, tau, inst, target)
         final_point: np.ndarray | None = None
         total_iters = 0
+        warm: Basis | None = None
         for seed in seeds:
-            point, iters = descend(target, seed)
+            point, iters, warm = descend(target, seed, warm)
             total_iters += iters
             if stealth_margin(bank, tau, point) <= STEALTH_TOL:
                 if final_point is None or _better(

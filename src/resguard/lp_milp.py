@@ -15,11 +15,15 @@ any other basis, which is refactorized.
 
 ``solve_milp`` wraps it in branch-and-bound over the binary variables with
 best-bound node selection and most-fractional branching.  The root starts
-from the problem's own starting basis when it has one (the attack MILP
-starts at the no-op attack), else cold.  Each child is warm-started from
-its parent's final basis, since the two differ by one bound; the parent's
-basis is factored once for both children.  A vertex that fails
-``check_solution`` is reported as ``NUMERICAL``, never as ``OPTIMAL``.
+from the problem's own starting basis when it has one, else cold.  That
+basis may be any basis of an LP with the same rows and columns: the attack
+MILP's no-op attack, or the root basis of a related MILP solved before it,
+which every solve returns in ``MILPSolution.basis``.  A start that is
+singular for the rows, or whose root ends ``NUMERICAL``, is retried once
+cold.  Each child is warm-started from its parent's final basis, since the
+two differ by one bound; the parent's basis is factored once for both
+children.  A vertex that fails ``check_solution`` is reported as
+``NUMERICAL``, never as ``OPTIMAL``.
 
 Sizes here are a few hundred variables at most, so everything is dense.
 """
@@ -116,9 +120,12 @@ class LinearProgram:
             raise ValueError("constraint matrix, right-hand side and senses must have matching rows")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("constraint data must be finite")
-        for array in (c, A, b, eq):
+        # ``[A | I | b]``, the tableau of the slack basis, which every
+        # factorization solves against; ``with_bounds`` copies share it.
+        full = np.hstack([A, np.eye(b.size), b[:, None]])
+        for array in (c, A, b, eq, full):
             array.flags.writeable = False
-        self.objective, self.A, self.b, self.eq = c, A, b, eq
+        self.objective, self.A, self.b, self.eq, self._full = c, A, b, eq, full
 
     def _set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
         lo = np.asarray(lower, dtype=float)
@@ -161,7 +168,8 @@ class Basis(NamedTuple):
 @dataclass(frozen=True)
 class MILPProblem:
     """``lp`` with ``binary_vars`` restricted to {0, 1}.  ``start``, when
-    given, is a basis of ``lp`` that the root relaxation starts from."""
+    given, is a basis over ``lp``'s rows and columns that the root
+    relaxation starts from."""
 
     lp: LinearProgram
     binary_vars: frozenset[int]
@@ -179,6 +187,9 @@ class MILPProblem:
 
 @dataclass
 class MILPSolution:
+    """A solve's outcome.  ``basis`` is the final basis of the LP that
+    ``solve_lp`` solved, or of ``solve_milp``'s root relaxation."""
+
     status: Status
     x: np.ndarray | None
     objective: float
@@ -188,8 +199,7 @@ class MILPSolution:
 
 def _factor(lp: LinearProgram, basic: np.ndarray) -> np.ndarray:
     """The tableau ``B^-1 [A | I | b]`` of the basis whose columns are ``basic``."""
-    full = np.hstack([lp.A, np.eye(lp.b.size), lp.b[:, None]])
-    return np.linalg.solve(full[:, basic], full)
+    return np.linalg.solve(lp._full[:, basic], lp._full)
 
 
 def solve_lp(
@@ -320,36 +330,57 @@ def _most_fractional(x: np.ndarray, binaries: list[int]) -> tuple[int, float]:
     return best, best_frac
 
 
+def _solve_root(problem: MILPProblem) -> tuple[MILPSolution, int]:
+    """The root relaxation and the number of LPs it took.
+
+    It starts from ``problem.start`` when given.  A start basis that is
+    singular for these rows, or whose solve ends ``NUMERICAL``, is given up
+    for one cold solve from the slack basis.
+    """
+    if problem.start is None:
+        return solve_lp(problem.lp), 1
+    try:
+        root = solve_lp(problem.lp, basis=problem.start)
+        if root.status != Status.NUMERICAL:
+            return root, 1
+    except np.linalg.LinAlgError:
+        pass
+    return solve_lp(problem.lp), 2
+
+
 def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolution:
     """Branch-and-bound over the binaries, exact to the LP layer's tolerance.
 
     The root relaxation starts from ``problem.start`` when given, else cold.
+    The start may be any basis of an LP with the same rows and columns, such
+    as the ``basis`` of an earlier solve; one that is singular here or ends
+    ``NUMERICAL`` is retried once cold, and the retry counts as a node.
     Nodes are explored best-bound first; branching picks the most-fractional
     binary, and both children start from their parent's final basis,
     factored once for the pair.  Hitting the node cap returns
     ``ITERATION_LIMIT``, and a node whose LP is ``NUMERICAL`` returns
-    ``NUMERICAL`` at once; both carry the best incumbent so far.
+    ``NUMERICAL`` at once; both carry the best incumbent so far.  Every
+    exit returns the root relaxation's final basis in ``basis``.
     """
     lp = problem.lp
     binaries = sorted(problem.binary_vars)
+    root, nodes_explored = _solve_root(problem)
     if not binaries:
-        sol = solve_lp(lp, basis=problem.start)
-        sol.nodes_explored = 1
-        return sol
+        root.nodes_explored = nodes_explored
+        return root
     if node_cap is None:
         node_cap = 2 ** min(len(binaries), 40) + 1000
 
-    nodes_explored = 0
+    def done(status: Status, x: np.ndarray | None = None, objective: float = math.inf) -> MILPSolution:
+        return MILPSolution(status, x, objective, nodes_explored, root.basis)
+
+    if root.status in (Status.ITERATION_LIMIT, Status.NUMERICAL):
+        return done(root.status)
     counter = 0
     heap: list = []
     incumbent: np.ndarray | None = None
     inc_obj = math.inf
     hit_limit = False
-
-    root = solve_lp(lp, basis=problem.start)
-    nodes_explored += 1
-    if root.status in (Status.ITERATION_LIMIT, Status.NUMERICAL):
-        return MILPSolution(root.status, None, math.inf, nodes_explored)
     if root.status == Status.OPTIMAL:
         heapq.heappush(heap, (root.objective, counter, lp.lower, lp.upper, root.x, root.basis))
 
@@ -373,7 +404,7 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
             child = solve_lp(lp.with_bounds(child_lo, child_hi), basis=basis, _tableau=tableau.copy())
             nodes_explored += 1
             if child.status == Status.NUMERICAL:
-                return MILPSolution(Status.NUMERICAL, incumbent, inc_obj, nodes_explored)
+                return done(Status.NUMERICAL, incumbent, inc_obj)
             if child.status == Status.ITERATION_LIMIT:
                 hit_limit = True
                 break
@@ -386,10 +417,10 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
             break
 
     if hit_limit:
-        return MILPSolution(Status.ITERATION_LIMIT, incumbent, inc_obj, nodes_explored)
+        return done(Status.ITERATION_LIMIT, incumbent, inc_obj)
     if incumbent is None:
-        return MILPSolution(Status.INFEASIBLE, None, math.inf, nodes_explored)
-    return MILPSolution(Status.OPTIMAL, incumbent, inc_obj, nodes_explored)
+        return done(Status.INFEASIBLE)
+    return done(Status.OPTIMAL, incumbent, inc_obj)
 
 
 def check_solution(problem: MILPProblem | LinearProgram, x: np.ndarray, tol: float = _FEAS_TOL) -> float:

@@ -346,27 +346,40 @@ def load_csv(csv_path, role_map_path) -> Dataset:
             if name not in roles:
                 raise CsvParseError(f"column {name!r} missing from role map", column=name)
             columns.append(Column(name, roles[name]))
-        rows = []
-        for r, raw in enumerate(reader):
-            if len(raw) != len(header):
+        rows = list(reader)
+    values = None
+    if all(len(raw) == len(header) for raw in rows):
+        try:
+            values = np.array(rows, dtype=float)
+        except ValueError:
+            pass  # a bad cell: the per-cell parse names it
+    if values is None:
+        values = _parse_cells(rows, header)
+    return Dataset(tuple(columns), values, timestep=timestep)
+
+
+def _parse_cells(rows: list[list[str]], header: list[str]) -> np.ndarray:
+    """``rows`` parsed one cell at a time; raises :class:`CsvParseError` at
+    the first ragged row or bad cell."""
+    parsed_rows = []
+    for r, raw in enumerate(rows):
+        if len(raw) != len(header):
+            raise CsvParseError(f"row {r} has {len(raw)} cells, expected {len(header)}", row=r)
+        parsed = []
+        for cell, name in zip(raw, header):
+            text = cell.strip()
+            if not text:
+                raise CsvParseError(f"blank cell at row {r}, column {name!r}", row=r, column=name)
+            try:
+                parsed.append(float(text))
+            except ValueError:
                 raise CsvParseError(
-                    f"row {r} has {len(raw)} cells, expected {len(header)}", row=r
+                    f"non-numeric cell {text!r} at row {r}, column {name!r}",
+                    row=r,
+                    column=name,
                 )
-            parsed = []
-            for cell, name in zip(raw, header):
-                text = cell.strip()
-                if not text:
-                    raise CsvParseError(f"blank cell at row {r}, column {name!r}", row=r, column=name)
-                try:
-                    parsed.append(float(text))
-                except ValueError:
-                    raise CsvParseError(
-                        f"non-numeric cell {text!r} at row {r}, column {name!r}",
-                        row=r,
-                        column=name,
-                    )
-            rows.append(parsed)
-    return Dataset(tuple(columns), np.array(rows, dtype=float), timestep=timestep)
+        parsed_rows.append(parsed)
+    return np.array(parsed_rows, dtype=float)
 
 
 def split_sequential(data: Dataset, train_fraction: float) -> tuple[Dataset, Dataset]:

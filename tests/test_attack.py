@@ -27,7 +27,7 @@ from resguard.detector import (
     residuals,
     train_bank,
 )
-from resguard.lp_milp import EQ, GE, LE, Constraint, MILPSolution, Status, solve_milp
+from resguard.lp_milp import EQ, GE, LE, Basis, Constraint, MILPProblem, MILPSolution, Status, check_solution, solve_milp
 from resguard.models import EnsembleModel, LinearModel, NeuralModel, TrainConfig, predict_batch, taylor_linearize
 from resguard.oracle import oracle_attack_enumerate, oracle_attack_grid
 from resguard.plant import Nonlinearity, desk_config, paper_scale_config, simulate, split_sequential
@@ -430,7 +430,7 @@ def test_attack_linear_matches_highs_at_paper_scale_budgets_4_5():
             assert result.n_attacked <= budget, key
 
 
-def _no_op_vertex(problem):
+def _start_vertex(problem):
     """``[x | slacks]`` at ``problem.start``, refactorized with numpy from
     the raw rows, with the bounds of every column."""
     lp, start = problem.lp, problem.start
@@ -453,7 +453,7 @@ def _assert_no_op_start(problem):
     assert start is not None
     assert not start.at_upper.any()
     assert len(set(start.basic.tolist())) == start.basic.size
-    z, lo, hi = _no_op_vertex(problem)
+    z, lo, hi = _start_vertex(problem)
     np.testing.assert_allclose(z[:n], 0.0, atol=1e-12)  # delta = alpha = 0
     assert np.all(z >= lo - 1e-9) and np.all(z <= hi + 1e-9)
 
@@ -537,6 +537,102 @@ def test_no_op_start_matches_cold_start_and_highs():
         assert warm.objective == pytest.approx(ref.fun, abs=tol)
         assert cold.objective == pytest.approx(ref.fun, abs=tol)
     assert Status.OPTIMAL in statuses[30:] and Status.INFEASIBLE in statuses[30:]
+
+
+def test_warm_start_from_a_related_milp_matches_no_op_start_and_highs():
+    """Started from the root basis of another target, threshold vector or
+    trust-region centre of the same instance shape, a MILP reaches the
+    answer its no-op start and HiGHS reach; the basis it returns
+    refactorizes to an optimal vertex of its own root relaxation."""
+    rng = np.random.default_rng(407)
+    pairs = []  # (problem, the related problem whose root basis starts it)
+    for trial in range(30):
+        bank, tau, inst = random_linear_setup(rng, n_critical=2)
+        problem = build_attack_milp(bank, tau, inst, inst.critical[0])
+        if trial % 2:
+            donor = build_attack_milp(bank, tau, inst, inst.critical[1])
+        else:
+            scaled = ThresholdConfig({s: t * rng.uniform(0.0, 1.5) for s, t in tau.tau.items()})
+            donor = build_attack_milp(bank, scaled, inst, inst.critical[0])
+        pairs.append((problem, donor))
+    for _ in range(10):
+        bank = _tanh_pair_bank(rng)
+        y = rng.normal(0.0, 0.3, 2)
+        res = residuals(bank, y)
+        tau = ThresholdConfig({s: res[s] + float(rng.uniform(0.1, 0.8)) for s in (0, 1)})
+        inst = AttackInstance(y=y, sensor_columns=(0, 1), critical=(0,), budget=int(rng.integers(1, 3)), eta=2.0)
+        eps = 0.3
+        centres = [y + rng.uniform(-0.6, 0.6, 2) for _ in range(2)]
+        pairs.append(
+            tuple(build_attack_milp(bank, tau, inst, 0, trust_radius=eps, center=c) for c in centres)
+        )
+    statuses = []
+    for problem, donor in pairs:
+        warm = solve_milp(replace(problem, start=solve_milp(donor).basis))
+        no_op = solve_milp(problem)
+        ref = _highs_result(problem)
+        statuses.append(warm.status)
+        assert warm.status == no_op.status
+        if ref.status == 2:  # infeasible
+            assert warm.status == Status.INFEASIBLE
+        else:
+            assert ref.status == 0, ref.message
+            assert warm.status == Status.OPTIMAL
+            assert warm.objective == pytest.approx(ref.fun, abs=1e-6 * max(1.0, abs(ref.fun)))
+            assert no_op.objective == pytest.approx(ref.fun, abs=1e-6 * max(1.0, abs(ref.fun)))
+        relaxed = _highs_result(MILPProblem(problem.lp, frozenset()))
+        if relaxed.status == 0:
+            x = _start_vertex(replace(problem, start=warm.basis))[0][: problem.lp.n_vars]
+            assert check_solution(problem.lp, x) <= 1e-7
+            assert problem.lp.objective @ x == pytest.approx(relaxed.fun, abs=1e-6 * max(1.0, abs(relaxed.fun)))
+    assert Status.OPTIMAL in statuses[30:] and Status.INFEASIBLE in statuses
+
+
+def test_singular_start_basis_falls_back_to_a_cold_root():
+    """A non-attackable sensor's ``alpha`` column is all zero, so a start
+    that makes it basic is singular for the rows.  The root is then solved
+    cold, with the answer ``start=None`` gives and one more node."""
+    rng = np.random.default_rng(408)
+    for _ in range(10):
+        bank, tau, inst = random_linear_setup(rng)
+        d = inst.y.size
+        frozen = int(rng.integers(d))
+        inst = replace(inst, attackable=frozenset(range(d)) - {frozen}, budget=min(inst.budget, d - 1))
+        problem = build_attack_milp(bank, tau, inst, inst.critical[0])
+        assert not problem.lp.A[:, d + frozen].any()
+        basic = problem.start.basic.copy()
+        basic[-1] = d + frozen  # in place of the budget row's slack
+        with pytest.raises(np.linalg.LinAlgError):
+            lp_milp._factor(problem.lp, basic)
+        sol = solve_milp(replace(problem, start=Basis(basic, problem.start.at_upper)))
+        cold = solve_milp(replace(problem, start=None))
+        assert sol.status == cold.status and sol.objective == cold.objective
+        assert sol.nodes_explored == cold.nodes_explored + 1
+
+
+def test_attack_linear_over_targets_equals_the_best_single_target():
+    """Paper preset seed 7, test rows 0-1, budgets 1-3: the multi-target
+    attack, whose MILPs start from the previous target's root basis, gives
+    the objective and target of the best single-target attack, the earlier
+    target winning a tie."""
+    data = simulate(paper_scale_config(seed=7), 7200)
+    train, test = split_sequential(data, 0.8)
+    bank = train_bank(train, family="linear")
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, 5)
+    for row in (0, 1):
+        for budget in (1, 2, 3):
+            y = test.values[row]
+            multi = attack_linear(bank, tau, instance_from_dataset(train, y, budget=budget))
+            best = None
+            for target in train.critical_columns():
+                single = attack_linear(bank, tau, instance_from_dataset(train, y, budget=budget, critical=(target,)))
+                assert single.solver_status == "optimal" and single.feasible
+                if best is None or single.objective < best.objective:
+                    best = single
+            key = (row, budget)
+            assert multi.solver_status == "optimal" and multi.feasible, key
+            assert multi.target == best.target, key
+            assert multi.objective == pytest.approx(best.objective, abs=1e-9 * max(1.0, abs(best.objective))), key
 
 
 def test_attack_nn_stops_once_the_target_cannot_move(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,6 +339,33 @@ def test_numerical_vertex_is_never_optimal(monkeypatch):
     sol = solve_lp(lp)
     assert sol.status == Status.NUMERICAL and sol.x is None
     assert solve_milp(MILPProblem(lp, frozenset({0, 1}))).status == Status.NUMERICAL
+
+
+def test_numerical_warm_root_is_retried_cold(monkeypatch):
+    """A start whose root ends ``NUMERICAL`` is solved again cold, and the
+    retry counts as a node: one ``solve_lp`` call per node explored."""
+    rng = np.random.default_rng(13)
+    problems = [_random_mixed_binary(rng) for _ in range(6)]
+    problems.append(MILPProblem(problems[0].lp, frozenset()))  # a plain LP
+    for problem in problems:
+        cold = solve_milp(problem)
+        start = solve_milp(problem).basis
+        calls = []
+        real = lp_milp.solve_lp
+
+        def numerical_warm_root(lp, max_iterations=None, basis=None, _tableau=None):
+            calls.append(basis is None)
+            if basis is not None and _tableau is None:  # the warm root
+                return lp_milp.MILPSolution(Status.NUMERICAL, None, math.inf, 0, basis)
+            return real(lp, max_iterations, basis, _tableau)
+
+        monkeypatch.setattr(lp_milp, "solve_lp", numerical_warm_root)
+        retried = solve_milp(replace(problem, start=start))
+        monkeypatch.setattr(lp_milp, "solve_lp", real)
+        assert calls[:2] == [False, True]  # warm root, then the cold one
+        assert retried.status == cold.status
+        assert retried.objective == cold.objective
+        assert retried.nodes_explored == cold.nodes_explored + 1 == len(calls)
 
 
 def _random_rows(rng, n, m):

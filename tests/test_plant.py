@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,45 @@ def test_csv_round_trip(tmp_path):
     save_csv(data, csv_path, roles_path)
     loaded = load_csv(csv_path, roles_path)
     assert loaded.equals(data)
+
+
+def test_load_csv_matrix_is_bit_equal_to_per_cell_parse(tmp_path):
+    """The whole-matrix parse reads back exactly what ``float`` reads cell
+    by cell, on a ``save_csv`` round trip over values that span the whole
+    float range, signed zeros and subnormals included."""
+    data = simulate(desk_config(seed=5), 40)
+    rng = np.random.default_rng(3)
+    wide = rng.normal(size=data.values.shape) * 10.0 ** rng.integers(-300, 300, data.values.shape)
+    wide[0, :3] = (-0.0, 5e-324, -1.7976931348623157e308)
+    for values in (data.values, wide):
+        dataset = Dataset(data.columns, values)
+        save_csv(dataset, tmp_path / "d.csv", tmp_path / "d.roles.json")
+        with open(tmp_path / "d.csv", newline="") as fh:
+            cells = list(csv.reader(fh))[1:]
+        per_cell = np.array([[float(cell.strip()) for cell in row] for row in cells])
+        loaded = load_csv(tmp_path / "d.csv", tmp_path / "d.roles.json").values
+        assert loaded.dtype == per_cell.dtype and loaded.shape == per_cell.shape
+        assert np.array_equal(loaded.view(np.uint64), per_cell.view(np.uint64))
+        assert np.array_equal(loaded.view(np.uint64), values.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "body,fragment,row",
+    [
+        ("a,b\n3,4\n1,x\n3\n", "non-numeric cell 'x' at row 1, column 'b'", 1),
+        ("a,b\n3,4\n1\n1,x\n", "row 1 has 1 cells, expected 2", 1),
+        ("a,b\n3,4\n \t,2\n", "blank cell at row 1, column 'a'", 1),
+    ],
+)
+def test_load_csv_names_the_first_bad_row(tmp_path, body, fragment, row):
+    """Whichever comes first, a bad cell or a ragged row, is the one named."""
+    (tmp_path / "t.csv").write_text(body)
+    (tmp_path / "t.json").write_text(
+        '{"columns": [{"name": "a", "role": "critical"}, {"name": "b", "role": "non_critical"}]}'
+    )
+    with pytest.raises(CsvParseError) as exc:
+        load_csv(tmp_path / "t.csv", tmp_path / "t.json")
+    assert str(exc.value) == fragment and exc.value.row == row
 
 
 def test_load_csv_small(tmp_path):
