@@ -88,16 +88,23 @@ class AttackInstance:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "box_lo", box_lo)
         object.__setattr__(self, "box_hi", box_hi)
-
-    def delta_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-column perturbation bounds: eta capped by the sensor box."""
-        lo = np.maximum(-self.eta, self.box_lo - self.y)
-        hi = np.minimum(self.eta, self.box_hi - self.y)
-        mask = np.ones(self.y.size, dtype=bool)
-        mask[list(self.attackable)] = False
+        lo = np.maximum(-eta, box_lo - y)
+        hi = np.minimum(eta, box_hi - y)
+        mask = np.ones(d, dtype=bool)
+        mask[list(attackable)] = False
         lo[mask] = 0.0
         hi[mask] = 0.0
-        return lo, hi
+        lo.flags.writeable = hi.flags.writeable = False
+        object.__setattr__(self, "_delta_bounds", (lo, hi))
+
+    def delta_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-column perturbation bounds: eta capped by the sensor box.
+        Computed once, when the instance is made, and read-only."""
+        return self._delta_bounds
+
+    def at_row(self, y: np.ndarray) -> "AttackInstance":
+        """The same attack posed at row ``y``, with the box widened to hold it."""
+        return replace(self, y=y, box_lo=np.minimum(self.box_lo, y), box_hi=np.maximum(self.box_hi, y))
 
 
 def instance_from_dataset(
@@ -179,6 +186,28 @@ class AttackResult:
     @property
     def n_attacked(self) -> int:
         return int(np.count_nonzero(self.delta))
+
+
+class SolverLimitError(RuntimeError):
+    """The attack solver gave up before proving optimality."""
+
+
+class NumericalError(RuntimeError):
+    """The attack solver returned an answer that fails its certificate."""
+
+
+def certify(result: AttackResult) -> AttackResult:
+    """``result``, when it can be backed up.  Raises ``SolverLimitError``
+    when the solver hit its node cap, and ``NumericalError`` for a solver
+    fault or an attack that is not stealthy other than the honest no-op on
+    a clean row that already alarms (see ``AttackResult``)."""
+    if result.solver_status == "iteration_limit":
+        raise SolverLimitError("attack solver hit its node cap; result is not proven optimal")
+    if result.solver_status == "numerical":
+        raise NumericalError("attack solver returned a candidate that fails the stealth certificate")
+    if not result.feasible and result.solver_status not in ("infeasible", "clean_alarm"):
+        raise NumericalError(f"attack is not stealthy (solver status {result.solver_status!r})")
+    return result
 
 
 def stealth_margin(bank: PredictorBank, tau: ThresholdConfig, rows: np.ndarray) -> float | np.ndarray:

@@ -45,14 +45,6 @@ class DependencyError(RuntimeError):
     """An upstream artifact required by this command is missing."""
 
 
-class SolverLimitError(RuntimeError):
-    """The attack solver gave up before proving optimality."""
-
-
-class NumericalError(RuntimeError):
-    """The attack solver returned an answer that fails its certificate."""
-
-
 DEFAULT_CONFIG = {
     "version": CONFIG_VERSION,
     "seed": 0,
@@ -120,6 +112,19 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _plant_config(cfg: dict) -> plant_mod.PlantConfig:
     spec = cfg["plant"]
     preset = spec["preset"]
@@ -147,12 +152,10 @@ def _load_dataset(cfg: dict, out: Path) -> plant_mod.Dataset:
     if "csv" in spec:
         csv_path = Path(spec["csv"])
         roles_path = Path(spec.get("roles", csv_path.with_suffix(".roles.json")))
-        _require(csv_path, "simulate")
-        _require(roles_path, "simulate")
-        return plant_mod.load_csv(csv_path, roles_path)
-    csv_path = _require(out / "data" / "clean.csv", "simulate")
-    roles_path = _require(out / "data" / "roles.json", "simulate")
-    return plant_mod.load_csv(csv_path, roles_path)
+    else:
+        csv_path = out / "data" / "clean.csv"
+        roles_path = out / "data" / "roles.json"
+    return plant_mod.load_csv(_require(csv_path, "simulate"), _require(roles_path, "simulate"))
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -206,23 +209,17 @@ def cmd_train(cfg: dict) -> int:
         )
         trn = models_mod.normalized_mse(entry.model, train.values[:, entry.feature_indices], train.values[:, s])
         tst = models_mod.normalized_mse(entry.model, test.values[:, entry.feature_indices], test.values[:, s])
-        mse_rows.append((name, family, trn, tst))
-    with open(models_dir / "bank.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    with open(models_dir / "mse_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sensor", "family", "train_mse_normalized", "test_mse_normalized"])
-        for row in mse_rows:
-            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
+        mse_rows.append([name, family, repr(trn), repr(tst)])
+    _write_json(models_dir / "bank.json", manifest)
+    _write_csv(
+        models_dir / "mse_table.csv", ["sensor", "family", "train_mse_normalized", "test_mse_normalized"], mse_rows
+    )
     print(f"train: fitted {len(bank.detector_set)} {family} detectors; MSE table at {models_dir / 'mse_table.csv'}")
     return EXIT_OK
 
 
 def _load_bank(cfg: dict, out: Path) -> detector_mod.PredictorBank:
-    manifest_path = _require(out / "models" / "bank.json", "train")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = json.loads(_require(out / "models" / "bank.json", "train").read_text())
     detectors = {}
     order = []
     for entry in manifest["detectors"]:
@@ -279,18 +276,6 @@ def _attack_setup(cfg: dict, out: Path):
     return train, test, bank, tau, template, alg1
 
 
-def _check_solver_status(result: attack_mod.AttackResult) -> None:
-    """Reject a result the CLI cannot back up: a solver fault, or an attack
-    that is not stealthy other than the honest no-op on a clean row that
-    already alarms (see ``AttackResult``)."""
-    if result.solver_status == "iteration_limit":
-        raise SolverLimitError("attack solver hit its node cap; result is not proven optimal")
-    if result.solver_status == "numerical":
-        raise NumericalError("attack solver returned a candidate that fails the stealth certificate")
-    if not result.feasible and result.solver_status not in ("infeasible", "clean_alarm"):
-        raise NumericalError(f"attack is not stealthy (solver status {result.solver_status!r})")
-
-
 def cmd_attack(cfg: dict) -> int:
     out = _out_dir(cfg)
     train, test, bank, tau, template, alg1 = _attack_setup(cfg, out)
@@ -303,61 +288,47 @@ def cmd_attack(cfg: dict) -> int:
     report_entries = []
     for s in template.critical:
         inst = replace(template, critical=(s,))
-        result = attack_mod.run_attack(bank, tau, inst, alg1)
-        _check_solver_status(result)
-        per_sensor.append((bank.name_of(s), inst.y[s], result.objective, result.n_attacked, result.feasible))
+        result = attack_mod.certify(attack_mod.run_attack(bank, tau, inst, alg1))
+        per_sensor.append(
+            [bank.name_of(s), repr(float(inst.y[s])), repr(float(result.objective)), result.n_attacked, result.feasible]
+        )
         report_entries.append(attack_mod.result_to_json(inst, result, bank))
-    with open(attack_dir / "per_sensor.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sensor", "clean_value", "attacked_value", "n_attacked", "feasible"])
-        for name, clean, attacked, n_atk, feas in per_sensor:
-            writer.writerow([name, repr(float(clean)), repr(float(attacked)), n_atk, feas])
+    _write_csv(
+        attack_dir / "per_sensor.csv", ["sensor", "clean_value", "attacked_value", "n_attacked", "feasible"], per_sensor
+    )
 
     # Budget sweep on the full critical set.
     sweep = []
     for b in aspec["budgets"]:
         inst = replace(template, budget=int(b))
-        result = attack_mod.run_attack(bank, tau, inst, alg1)
-        _check_solver_status(result)
+        result = attack_mod.certify(attack_mod.run_attack(bank, tau, inst, alg1))
         sweep.append((int(b), bank.name_of(result.target), result.objective, result.feasible))
-    with open(attack_dir / "budget_sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["budget", "target", "objective", "feasible"])
-        for b, name, obj, feas in sweep:
-            writer.writerow([b, name, repr(float(obj)), feas])
+    _write_csv(
+        attack_dir / "budget_sweep.csv",
+        ["budget", "target", "objective", "feasible"],
+        ([b, name, repr(float(obj)), feas] for b, name, obj, feas in sweep),
+    )
 
     # Per-timestep attacks over the leading test rows.
     n_rows = min(int(aspec["rows"]), test.n_rows)
-    with open(attack_dir / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "target", "objective", "n_attacked"])
-        for t in range(n_rows):
-            row = test.values[t]
-            inst = replace(
-                template,
-                y=row,
-                box_lo=np.minimum(template.box_lo, row),
-                box_hi=np.maximum(template.box_hi, row),
-            )
-            result = attack_mod.run_attack(bank, tau, inst, alg1)
-            _check_solver_status(result)
-            writer.writerow([t, bank.name_of(result.target), repr(result.objective), result.n_attacked])
+    trajectory = []
+    for t in range(n_rows):
+        inst = template.at_row(test.values[t])
+        result = attack_mod.certify(attack_mod.run_attack(bank, tau, inst, alg1))
+        trajectory.append([t, bank.name_of(result.target), repr(result.objective), result.n_attacked])
+    _write_csv(attack_dir / "trajectory.csv", ["t", "target", "objective", "n_attacked"], trajectory)
 
-    with open(attack_dir / "attack_report.json", "w") as fh:
-        json.dump(
-            {
-                "budget": int(aspec["budget"]),
-                "direction": template.direction.value,
-                "per_target": report_entries,
-                "budget_sweep": [
-                    {"budget": b, "target": name, "objective": obj, "feasible": feas}
-                    for b, name, obj, feas in sweep
-                ],
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_json(
+        attack_dir / "attack_report.json",
+        {
+            "budget": int(aspec["budget"]),
+            "direction": template.direction.value,
+            "per_target": report_entries,
+            "budget_sweep": [
+                {"budget": b, "target": name, "objective": obj, "feasible": feas} for b, name, obj, feas in sweep
+            ],
+        },
+    )
     print(f"attack: wrote per-sensor objectives, budget sweep, and {n_rows}-row trajectory to {attack_dir}")
     return EXIT_OK
 
@@ -376,40 +347,38 @@ def cmd_defend(cfg: dict) -> int:
         n_max=int(dspec["n_max"]),
         horizon=int(dspec["horizon"]),
     )
-    outcome = defense_mod.resilient_thresholds(bank, tau, curves, test, train, template, dconf, alg1)
+    outcome = defense_mod.resilient_thresholds(bank, tau, curves, test, template, dconf, alg1)
 
     defense_dir = out / "defense"
     defense_dir.mkdir(parents=True, exist_ok=True)
     detector_mod.save_thresholds(outcome.thresholds, defense_dir / "thresholds_resilient.json", bank)
-    with open(defense_dir / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "worst_impact", "worst_sensor", "fa", "accepted", "epsilon"])
-        for rec in outcome.history:
-            writer.writerow(
-                [
-                    rec["iteration"],
-                    repr(rec["worst_impact"]),
-                    bank.name_of(rec["worst_sensor"]),
-                    rec["fa"],
-                    rec["accepted"],
-                    repr(rec["epsilon"]),
-                ]
-            )
-    with open(defense_dir / "report.json", "w") as fh:
-        json.dump(
-            {
-                "improved": outcome.improved,
-                "baseline_worst_impact": outcome.baseline_worst,
-                "final_worst_impact": outcome.final_worst,
-                "baseline_false_alarms": outcome.baseline_fa,
-                "final_false_alarms": outcome.final_fa,
-                "gamma": dconf.gamma,
-                "thresholds": {bank.name_of(s): v for s, v in sorted(outcome.thresholds.tau.items())},
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_csv(
+        defense_dir / "trace.csv",
+        ["iteration", "worst_impact", "worst_sensor", "fa", "accepted", "epsilon"],
+        (
+            [
+                rec["iteration"],
+                repr(rec["worst_impact"]),
+                bank.name_of(rec["worst_sensor"]),
+                rec["fa"],
+                rec["accepted"],
+                repr(rec["epsilon"]),
+            ]
+            for rec in outcome.history
+        ),
+    )
+    _write_json(
+        defense_dir / "report.json",
+        {
+            "improved": outcome.improved,
+            "baseline_worst_impact": outcome.baseline_worst,
+            "final_worst_impact": outcome.final_worst,
+            "baseline_false_alarms": outcome.baseline_fa,
+            "final_false_alarms": outcome.final_fa,
+            "gamma": dconf.gamma,
+            "thresholds": {bank.name_of(s): v for s, v in sorted(outcome.thresholds.tau.items())},
+        },
+    )
     print(
         "defend: worst impact "
         f"{outcome.baseline_worst:.4f} -> {outcome.final_worst:.4f}, "
@@ -424,23 +393,14 @@ def cmd_report(cfg: dict) -> int:
     report_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {"output_dir": str(out)}
 
-    mse_path = _require(out / "models" / "mse_table.csv", "train")
-    with open(mse_path, newline="") as fh:
+    with open(_require(out / "models" / "mse_table.csv", "train"), newline="") as fh:
         summary["mse_table"] = list(csv.DictReader(fh))
-    thresholds_path = _require(out / "thresholds" / "baseline.json", "calibrate")
-    with open(thresholds_path) as fh:
-        summary["baseline_thresholds"] = json.load(fh)
-    attack_path = _require(out / "attack" / "attack_report.json", "attack")
-    with open(attack_path) as fh:
-        summary["attack"] = json.load(fh)
+    summary["baseline_thresholds"] = json.loads(_require(out / "thresholds" / "baseline.json", "calibrate").read_text())
+    summary["attack"] = json.loads(_require(out / "attack" / "attack_report.json", "attack").read_text())
     defense_path = out / "defense" / "report.json"
     if defense_path.exists():
-        with open(defense_path) as fh:
-            summary["defense"] = json.load(fh)
-
-    with open(report_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        summary["defense"] = json.loads(defense_path.read_text())
+    _write_json(report_dir / "summary.json", summary)
     print(f"report: collated summary at {report_dir / 'summary.json'}")
     return EXIT_OK
 
@@ -488,10 +448,15 @@ def main(argv=None) -> int:
     except DependencyError as exc:
         print(f"dependency error: {exc}", file=sys.stderr)
         return EXIT_DEPENDENCY
-    except SolverLimitError as exc:
+    except attack_mod.SolverLimitError as exc:
         print(f"solver limit: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (NumericalError, plant_mod.InstabilityError, models_mod.TrainingDivergedError, FloatingPointError) as exc:
+    except (
+        attack_mod.NumericalError,
+        plant_mod.InstabilityError,
+        models_mod.TrainingDivergedError,
+        FloatingPointError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, plant_mod.CsvParseError) as exc:

@@ -7,6 +7,10 @@ sensors the attack hurts most, then raise the least-impacted sensors'
 thresholds just enough to pay back the false alarms added, and only accept
 candidates that keep the clean-window false-alarm count within ``gamma`` of
 the baseline.
+
+Every attack it scores must pass ``attack.certify``: an attack the solver
+cannot back up raises ``SolverLimitError`` or ``NumericalError`` rather
+than enter an impact.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .attack import Alg1Config, AttackInstance, AttackResult, run_attack
+from .attack import Alg1Config, AttackInstance, certify, run_attack
 from .detector import FPCurve, PredictorBank, ThresholdConfig, alarms, fp_inverse
 from .plant import Dataset
 
@@ -69,31 +73,6 @@ def _trajectory_values(trajectory) -> np.ndarray:
     return rows
 
 
-def _attack_rows(
-    bank: PredictorBank,
-    tau: ThresholdConfig,
-    rows: np.ndarray,
-    inst_template: AttackInstance,
-    target: int,
-    alg1: Alg1Config | None,
-) -> list[AttackResult]:
-    results = []
-    for t in range(rows.shape[0]):
-        row = rows[t]
-        inst = replace(
-            inst_template,
-            y=row,
-            critical=(target,),
-            box_lo=np.minimum(inst_template.box_lo, row),
-            box_hi=np.maximum(inst_template.box_hi, row),
-        )
-        try:
-            results.append(run_attack(bank, tau, inst, alg1))
-        except Exception as exc:
-            raise RuntimeError(f"attack failed at row {t}, target {target}: {exc}") from exc
-    return results
-
-
 def impact(
     bank: PredictorBank,
     tau: ThresholdConfig,
@@ -104,13 +83,16 @@ def impact(
     """Per-critical-sensor impact: mean |y_tilde_s - y_s| of the optimal
     single-target stealthy attack over the trajectory rows.
 
-    ``trajectory`` is a :class:`Dataset` or a plain row matrix.
+    ``trajectory`` is a :class:`Dataset` or a plain row matrix.  Each
+    attack passes through ``attack.certify``, so one the solver cannot back
+    up raises ``SolverLimitError`` or ``NumericalError``.
     """
     rows = _trajectory_values(trajectory)
     per = {}
     for s in inst_template.critical:
-        results = _attack_rows(bank, tau, rows, inst_template, s, alg1)
-        per[s] = float(np.mean([abs(r.y_tilde[s] - rows[t, s]) for t, r in enumerate(results)]))
+        single = replace(inst_template, critical=(s,))
+        results = [certify(run_attack(bank, tau, single.at_row(row), alg1)) for row in rows]
+        per[s] = float(np.mean([abs(r.y_tilde[s] - row[s]) for r, row in zip(results, rows)]))
     return ImpactReport(per, rows.shape[0])
 
 
@@ -142,7 +124,6 @@ def resilient_thresholds(
     tau_baseline: ThresholdConfig,
     curves: Mapping[int, FPCurve],
     trajectory: Dataset,
-    clean: Dataset,
     inst_template: AttackInstance,
     cfg: DefenseConfig,
     alg1: Alg1Config | None = None,

@@ -176,13 +176,14 @@ class MILPProblem:
     start: Basis | None = None
 
     def __post_init__(self):
-        binaries = frozenset(int(b) for b in self.binary_vars)
-        for b in binaries:
-            if not 0 <= b < self.lp.n_vars:
-                raise ValueError(f"binary index {b} out of range")
-            if self.lp.lower[b] < -1e-9 or self.lp.upper[b] > 1 + 1e-9:
-                raise ValueError(f"binary variable {b} must have bounds within [0, 1]")
-        object.__setattr__(self, "binary_vars", binaries)
+        idx = np.fromiter(self.binary_vars, dtype=int)
+        out_of_range = idx[(idx < 0) | (idx >= self.lp.n_vars)]
+        if out_of_range.size:
+            raise ValueError(f"binary index {out_of_range[0]} out of range")
+        unbounded = idx[(self.lp.lower[idx] < -1e-9) | (self.lp.upper[idx] > 1 + 1e-9)]
+        if unbounded.size:
+            raise ValueError(f"binary variable {unbounded[0]} must have bounds within [0, 1]")
+        object.__setattr__(self, "binary_vars", frozenset(idx.tolist()))
 
 
 @dataclass
@@ -380,7 +381,6 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
     heap: list = []
     incumbent: np.ndarray | None = None
     inc_obj = math.inf
-    hit_limit = False
     if root.status == Status.OPTIMAL:
         heapq.heappush(heap, (root.objective, counter, lp.lower, lp.upper, root.x, root.basis))
 
@@ -397,33 +397,25 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
         tableau = _factor(lp, basis.basic)
         for val in (0.0, 1.0):
             if nodes_explored >= node_cap:
-                hit_limit = True
-                break
+                return done(Status.ITERATION_LIMIT, incumbent, inc_obj)
             child_lo, child_hi = lo.copy(), hi.copy()
             child_lo[j] = child_hi[j] = val
             child = solve_lp(lp.with_bounds(child_lo, child_hi), basis=basis, _tableau=tableau.copy())
             nodes_explored += 1
-            if child.status == Status.NUMERICAL:
-                return done(Status.NUMERICAL, incumbent, inc_obj)
-            if child.status == Status.ITERATION_LIMIT:
-                hit_limit = True
-                break
+            if child.status in (Status.NUMERICAL, Status.ITERATION_LIMIT):
+                return done(child.status, incumbent, inc_obj)
             if child.status != Status.OPTIMAL:
                 continue
             if child.objective < inc_obj - _BOUND_TOL:
                 counter += 1
                 heapq.heappush(heap, (child.objective, counter, child_lo, child_hi, child.x, child.basis))
-        if hit_limit:
-            break
 
-    if hit_limit:
-        return done(Status.ITERATION_LIMIT, incumbent, inc_obj)
     if incumbent is None:
         return done(Status.INFEASIBLE)
     return done(Status.OPTIMAL, incumbent, inc_obj)
 
 
-def check_solution(problem: MILPProblem | LinearProgram, x: np.ndarray, tol: float = _FEAS_TOL) -> float:
+def check_solution(problem: MILPProblem | LinearProgram, x: np.ndarray) -> float:
     """Worst constraint violation of ``x`` against the raw problem data."""
     lp = problem.lp if isinstance(problem, MILPProblem) else problem
     excess = lp.A @ x - lp.b

@@ -283,7 +283,7 @@ def test_criterion_8_defense_guarantees():
     rows = data.values[np.nonzero(ratio <= 0.5)[0][-4:]]
     inst = instance_from_dataset(data, rows[0], budget=1)
     outcome = resilient_thresholds(
-        bank, tau, curves, rows, data, inst, DefenseConfig(gamma=0.0, epsilon=0.4, n_max=24, horizon=4)
+        bank, tau, curves, rows, inst, DefenseConfig(gamma=0.0, epsilon=0.4, n_max=24, horizon=4)
     )
 
     assert outcome.improved and outcome.final_worst < outcome.baseline_worst, (

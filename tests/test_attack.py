@@ -305,6 +305,49 @@ def test_instance_from_dataset_boxes():
     assert np.allclose(inst.box_hi, np.maximum(hi + 10 * span, inst.y))
 
 
+def test_at_row_equals_the_inline_reposing():
+    train, test = split_sequential(simulate(desk_config(seed=3), 600), 0.8)
+    template = instance_from_dataset(train, test.values[0], budget=2)
+    # The last row lies outside the template's box, so the box must widen.
+    rows = list(test.values[:5]) + [test.values[5] + 100.0 * (template.box_hi - template.box_lo)]
+    for row in rows:
+        inst = template.at_row(row)
+        old = replace(
+            template,
+            y=row,
+            box_lo=np.minimum(template.box_lo, row),
+            box_hi=np.maximum(template.box_hi, row),
+        )
+        for name in ("y", "eta", "box_lo", "box_hi"):
+            assert np.array_equal(getattr(inst, name), getattr(old, name)), name
+        for a, b in zip(inst.delta_bounds(), old.delta_bounds()):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+        for name in ("sensor_columns", "critical", "budget", "attackable", "direction"):
+            assert getattr(inst, name) == getattr(old, name), name
+    assert np.all(inst.box_hi >= rows[-1]) and not np.all(template.box_hi >= rows[-1])
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+@pytest.mark.parametrize(
+    "status, raises",
+    [
+        ("optimal", {False: attack.NumericalError}),
+        ("iteration_limit", {True: attack.SolverLimitError, False: attack.SolverLimitError}),
+        ("numerical", {True: attack.NumericalError, False: attack.NumericalError}),
+        ("infeasible", {}),
+        ("clean_alarm", {}),
+    ],
+)
+def test_certify_passes_only_results_it_can_back_up(status, raises, feasible):
+    result = attack.AttackResult(np.zeros(2), np.zeros(2), np.zeros(2, dtype=bool), 0, 0.0, feasible, 0, status)
+    if feasible in raises:
+        with pytest.raises(raises[feasible]):
+            attack.certify(result)
+    else:
+        assert attack.certify(result) is result
+
+
 def test_run_attack_dispatch():
     bank = _identity_pair_bank(mutual=False)
     tau = ThresholdConfig({0: 1.0})

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import shutil
 from dataclasses import replace
 
@@ -14,9 +15,11 @@ from resguard.cli import (
     EXIT_DEPENDENCY,
     EXIT_NUMERIC,
     EXIT_OK,
+    EXIT_SOLVER,
     load_config,
     main,
 )
+from resguard.lp_milp import MILPSolution, Status
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +170,30 @@ def test_attack_accepts_the_no_op_on_an_alarming_row(pipeline_dir, tmp_path):
     with open(run / "attack" / "budget_sweep.csv", newline="") as fh:
         sweep = {int(rec["budget"]): rec["feasible"] for rec in csv.DictReader(fh)}
     assert sweep[0] == "False"
+
+
+def _node_capped_solve(problem):
+    return MILPSolution(Status.ITERATION_LIMIT, None, math.inf, 1)
+
+
+def _overflowing_solve(problem):
+    raise FloatingPointError("overflow in the simplex")
+
+
+@pytest.mark.parametrize(
+    "command, report", [("attack", "attack/attack_report.json"), ("defend", "defense/report.json")]
+)
+@pytest.mark.parametrize(
+    "solve, code",
+    [(stealth_breaking_solve, EXIT_NUMERIC), (_node_capped_solve, EXIT_SOLVER), (_overflowing_solve, EXIT_NUMERIC)],
+)
+def test_attack_and_defend_refuse_an_attack_they_cannot_back_up(
+    pipeline_dir, tmp_path, monkeypatch, command, report, solve, code
+):
+    out, cfg_path = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    shutil.rmtree((run / report).parent)
+    monkeypatch.setattr(attack, "solve_milp", solve)
+    assert main([command, "--config", str(cfg_path), "--out", str(run)]) == code
+    assert not (run / report).exists()

@@ -117,7 +117,7 @@ def test_resilient_first_iteration_direction():
     bank, tau, clean, inst = _crafted_two_sensor_setup()
     curves = fp_curve(bank, clean)
     cfg = DefenseConfig(gamma=0.0, epsilon=0.3, n_max=2, horizon=1)
-    outcome = resilient_thresholds(bank, tau, curves, np.zeros((1, 3)), clean, inst, cfg)
+    outcome = resilient_thresholds(bank, tau, curves, np.zeros((1, 3)), inst, cfg)
     first = outcome.history[1]["tau"]
     assert first[0] < 5.0  # worst-hit sensor lowered
     assert first[1] > 5.0  # least-hit sensor raised to pay back alarms
@@ -137,7 +137,7 @@ def test_resilient_zero_budget_returns_baseline():
     )
     curves = fp_curve(bank, clean)
     cfg = DefenseConfig(gamma=0.0, epsilon=0.3, n_max=3, horizon=1)
-    outcome = resilient_thresholds(bank, tau, curves, np.zeros((1, 3)), clean, inst0, cfg)
+    outcome = resilient_thresholds(bank, tau, curves, np.zeros((1, 3)), inst0, cfg)
     assert not outcome.improved
     assert outcome.thresholds.tau == tau.tau
 
@@ -151,7 +151,7 @@ def test_resilient_single_critical_sensor():
     )
     curves = fp_curve(bank, clean)
     cfg = DefenseConfig(gamma=0.0, epsilon=1.0, n_max=5, horizon=1)
-    outcome = resilient_thresholds(bank, tau, curves, np.zeros((1, 3)), clean, inst, cfg)
+    outcome = resilient_thresholds(bank, tau, curves, np.zeros((1, 3)), inst, cfg)
     # No residuals near the threshold, so lowering adds no alarms and the
     # impact shrinks with tau.
     assert outcome.final_worst < outcome.baseline_worst
@@ -169,7 +169,7 @@ def test_resilient_guarantees_on_simulated_plant():
     inst = instance_from_dataset(data, data.n_rows - 1, budget=2)
     cfg = DefenseConfig(gamma=0.0, epsilon=0.15, n_max=4, horizon=3)
     outcome = resilient_thresholds(
-        bank, tau, curves, data.values[-3:], data, inst, cfg
+        bank, tau, curves, data.values[-3:], inst, cfg
     )
     assert outcome.final_fa <= outcome.baseline_fa + cfg.gamma
     assert outcome.final_worst <= outcome.baseline_worst + 1e-9
