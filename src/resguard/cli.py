@@ -128,15 +128,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _plant_config(cfg: dict) -> plant_mod.PlantConfig:
     spec = cfg["plant"]
     preset = spec["preset"]
-    overrides = dict(spec.get("overrides", {}))
-    if "nonlinearity" in overrides:
-        overrides["nonlinearity"] = plant_mod.Nonlinearity(overrides["nonlinearity"])
-    for key in ("coupling", "setpoints", "noise_std"):
-        if key in overrides:
-            overrides[key] = np.asarray(overrides[key], dtype=float)
-    for key in ("nonlinear_channels", "critical_sensors"):
-        if key in overrides:
-            overrides[key] = tuple(overrides[key])
+    overrides = spec.get("overrides", {})
     try:
         if preset == "desk":
             return plant_mod.desk_config(seed=cfg["seed"], **overrides)

@@ -58,7 +58,7 @@ class DefenseConfig:
     horizon: int = 5
 
     def __post_init__(self):
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
@@ -146,29 +146,6 @@ def resilient_thresholds(
     if missing:
         raise ValueError(f"curves missing for detectors {missing}")
 
-    fa_base = _fa_from_curves(curves, tau_baseline)
-    report = impact(bank, tau_baseline, horizon, inst_template, alg1)
-    worst_prev = report.worst[1]
-    baseline_worst = worst_prev
-
-    best_tau = tau_baseline
-    best_worst = baseline_worst
-    best_fa = fa_base
-    improved = False
-    eps = cfg.epsilon
-    tau_acc = tau_baseline
-    history = [
-        {
-            "iteration": 0,
-            "tau": dict(tau_baseline.tau),
-            "worst_impact": baseline_worst,
-            "worst_sensor": report.worst[0],
-            "fa": fa_base,
-            "accepted": True,
-            "epsilon": eps,
-        }
-    ]
-
     def next_candidate(tau_from: ThresholdConfig, rep: ImpactReport, step: float) -> ThresholdConfig:
         impacts = rep.per_sensor
         top = max(impacts.values())
@@ -204,8 +181,13 @@ def resilient_thresholds(
             deficit -= pay
         return tau_from.with_values(updates)
 
-    tau_cand = next_candidate(tau_acc, report, eps)
-    for it in range(1, cfg.n_max + 1):
+    fa_base = best_fa = _fa_from_curves(curves, tau_baseline)
+    eps = cfg.epsilon
+    tau_cand = tau_acc = best_tau = tau_baseline
+    worst_prev = best_worst = np.inf
+    history = []
+    # Iteration 0 scores the baseline, which always fits its own alarm budget.
+    for it in range(cfg.n_max + 1):
         rep = impact(bank, tau_cand, horizon, inst_template, alg1)
         worst = rep.worst[1]
         fa_cand = _fa_from_curves(curves, tau_cand)
@@ -215,7 +197,6 @@ def resilient_thresholds(
             tau_acc = tau_cand
             if worst < best_worst - _TIE_TOL:
                 best_tau, best_worst, best_fa = tau_cand, worst, fa_cand
-                improved = True
         else:
             eps /= 2.0
         if fa_ok:
@@ -235,9 +216,10 @@ def resilient_thresholds(
         )
         tau_cand = next_candidate(tau_acc, rep, eps)
 
+    baseline_worst = history[0]["worst_impact"]
     return DefenseOutcome(
         thresholds=best_tau,
-        improved=improved,
+        improved=best_worst < baseline_worst - _TIE_TOL,
         baseline_worst=baseline_worst,
         final_worst=best_worst,
         baseline_fa=fa_base,

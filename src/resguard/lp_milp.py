@@ -428,17 +428,3 @@ def check_solution(problem: MILPProblem | LinearProgram, x: np.ndarray) -> float
         xb = x[sorted(problem.binary_vars)]
         worst = max(worst, float(np.max(np.abs(xb - np.round(xb)))))
     return worst
-
-
-def problem_to_json(problem: MILPProblem) -> dict:
-    """Debug dump of a problem in a portable schema for external cross-checks."""
-    lp = problem.lp
-    return {
-        "objective": lp.objective.tolist(),
-        "rows": [c.coeffs.tolist() for c in lp.constraints],
-        "senses": [c.sense for c in lp.constraints],
-        "rhs": [c.rhs for c in lp.constraints],
-        "lower": lp.lower.tolist(),
-        "upper": lp.upper.tolist(),
-        "binaries": sorted(problem.binary_vars),
-    }

@@ -93,11 +93,8 @@ class NeuralModel:
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     feature_names: tuple[str, ...] = ()
     scaler: Scaler | None = None
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation != "tanh":
-            raise ValueError("only tanh hidden activations are supported")
         layers = tuple((np.asarray(W, dtype=float), np.asarray(b, dtype=float)) for W, b in self.layers)
         if not layers:
             raise ValueError("at least one layer required")
@@ -149,9 +146,6 @@ class TrainConfig:
 
     epochs: int = 5000
     learning_rate: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     hidden_layers: tuple[int, ...] = (16, 16)
     seed: int = 0
 
@@ -160,10 +154,6 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
         if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden_layers must be positive widths")
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
@@ -267,7 +257,7 @@ def fit_nn(features, targets, cfg: TrainConfig, feature_names: tuple[str, ...] =
     best_loss = loss_of(layers)
     best = [[W.copy(), b.copy()] for W, b in layers]
 
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate  # Adam's standard decays and guard
     for epoch in range(1, cfg.epochs + 1):
         acts, out = _forward_batch(layers, Xn)
         err = out - yn
@@ -417,7 +407,7 @@ def model_to_json(model: Model) -> dict:
             "format_version": MODEL_FORMAT_VERSION,
             "family": "neural",
             "n_features": model.n_features,
-            "activation": model.activation,
+            "activation": "tanh",
             "layers": [
                 {"shape": list(W.shape), "weights": W.tolist(), "bias": b.tolist()}
                 for W, b in model.layers
@@ -448,6 +438,8 @@ def model_from_json(obj: dict) -> Model:
             _scaler_from_json(obj.get("scaler")),
         )
     if family == "neural":
+        if obj.get("activation", "tanh") != "tanh":
+            raise ValueError("only tanh hidden activations are supported")
         layers = tuple(
             (np.array(l["weights"], dtype=float), np.array(l["bias"], dtype=float))
             for l in obj["layers"]
@@ -456,7 +448,6 @@ def model_from_json(obj: dict) -> Model:
             layers,
             tuple(obj.get("feature_names", ())),
             _scaler_from_json(obj.get("scaler")),
-            obj.get("activation", "tanh"),
         )
     if family == "ensemble":
         return EnsembleModel(model_from_json(obj["nn"]), model_from_json(obj["lr"]))

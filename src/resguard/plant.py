@@ -154,13 +154,14 @@ class PlantConfig:
         if self.n_controls < 0:
             raise ValueError("n_controls must be nonnegative")
         d = self.n_sensors
+        nonlinearity = Nonlinearity(self.nonlinearity)
         coupling = self.coupling
         if coupling is None:
             coupling = np.zeros((d, d))
         coupling = np.asarray(coupling, dtype=float)
         if coupling.shape != (d, d):
             raise ValueError(f"coupling must be {d}x{d}")
-        if self.nonlinearity == Nonlinearity.NONE:
+        if nonlinearity == Nonlinearity.NONE:
             radius = max(abs(np.linalg.eigvals(coupling)))
             if radius >= 1.0:
                 raise ValueError(f"coupling spectral radius {radius:.3f} >= 1")
@@ -179,6 +180,7 @@ class PlantConfig:
         for ch in self.critical_sensors:
             if not 0 <= ch < d:
                 raise ValueError(f"critical sensor {ch} out of range")
+        object.__setattr__(self, "nonlinearity", nonlinearity)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "setpoints", setpoints)
         object.__setattr__(self, "noise_std", noise)

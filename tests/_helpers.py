@@ -4,7 +4,7 @@ import numpy as np
 
 from resguard.attack import AttackInstance, Direction
 from resguard.detector import DetectorEntry, PredictorBank, ThresholdConfig
-from resguard.lp_milp import MILPSolution, Status
+from resguard.lp_milp import GE, LE, MILPSolution, Status
 from resguard.models import LinearModel, NeuralModel, Scaler
 
 
@@ -114,3 +114,23 @@ def stealth_breaking_solve(problem):
     j = int(np.flatnonzero(lp.objective)[0])
     x[j] = lp.lower[j] if lp.objective[j] > 0 else lp.upper[j]
     return MILPSolution(Status.OPTIMAL, x, float(lp.objective @ x), 1)
+
+
+def highs_milp(problem):
+    """scipy's HiGHS on the same MILP with ``mip_rel_gap=0``: the
+    independent reference for the built-in branch and bound."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lp = problem.lp
+    A = np.array([c.coeffs for c in lp.constraints])
+    lo = np.array([-np.inf if c.sense == LE else c.rhs for c in lp.constraints])
+    hi = np.array([np.inf if c.sense == GE else c.rhs for c in lp.constraints])
+    integrality = np.zeros(lp.n_vars)
+    integrality[sorted(problem.binary_vars)] = 1
+    return milp(
+        lp.objective,
+        constraints=LinearConstraint(A, lo, hi),
+        bounds=Bounds(lp.lower, lp.upper),
+        integrality=integrality,
+        options={"mip_rel_gap": 0.0},
+    )

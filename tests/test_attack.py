@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import assert_result_invariants, constant_bank, random_linear_setup, stealth_breaking_solve
+from _helpers import assert_result_invariants, constant_bank, highs_milp, random_linear_setup, stealth_breaking_solve
 from resguard import attack, lp_milp
 from resguard.attack import (
     Alg1Config,
@@ -19,6 +19,7 @@ from resguard.attack import (
     run_attack,
 )
 from resguard.detector import (
+    FEATURE_MODE_ALL_OTHERS,
     DetectorEntry,
     PredictorBank,
     ThresholdConfig,
@@ -405,26 +406,6 @@ def test_attack_linear_without_an_incumbent_at_the_node_cap_says_so(monkeypatch)
     assert result.n_attacked == 0 and result.iterations == 14
 
 
-def _highs_objective(problem):
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    lp = problem.lp
-    A = np.array([c.coeffs for c in lp.constraints])
-    lo = np.array([-np.inf if c.sense == LE else c.rhs for c in lp.constraints])
-    hi = np.array([np.inf if c.sense == GE else c.rhs for c in lp.constraints])
-    integrality = np.zeros(lp.n_vars)
-    integrality[sorted(problem.binary_vars)] = 1
-    res = milp(
-        lp.objective,
-        constraints=LinearConstraint(A, lo, hi),
-        bounds=Bounds(lp.lower, lp.upper),
-        integrality=integrality,
-        options={"mip_rel_gap": 0.0},
-    )
-    assert res.status == 0, res.message
-    return float(res.fun)
-
-
 def test_attack_linear_matches_highs_at_paper_scale():
     """Exact attack vs scipy's HiGHS on the paper preset (41 sensors, 5
     critical), test row 0, budgets 1-3, every critical target.
@@ -443,7 +424,9 @@ def test_attack_linear_matches_highs_at_paper_scale():
             problem = build_attack_milp(bank, tau, inst, target)
             assert (problem.lp.n_vars, len(problem.lp.constraints)) == (82, 93)
             assert all(c.sense == LE for c in problem.lp.constraints)
-            ref = _highs_objective(problem)
+            highs = highs_milp(problem)
+            assert highs.status == 0, highs.message
+            ref = float(highs.fun)
             result = attack_linear(bank, tau, inst)
             key = (budget, target)
             assert result.objective - inst.y[target] == pytest.approx(ref, abs=1e-6 * max(1.0, abs(ref))), key
@@ -464,7 +447,9 @@ def test_attack_linear_matches_highs_at_paper_scale_budgets_4_5():
     for budget in (4, 5):
         for target in train.critical_columns():
             inst = instance_from_dataset(train, test.values[0], budget=budget, critical=(target,))
-            ref = _highs_objective(build_attack_milp(bank, tau, inst, target))
+            highs = highs_milp(build_attack_milp(bank, tau, inst, target))
+            assert highs.status == 0, highs.message
+            ref = float(highs.fun)
             result = attack_linear(bank, tau, inst)
             key = (budget, target)
             assert result.solver_status == "optimal", key
@@ -525,24 +510,6 @@ def test_attack_milp_starts_at_the_no_op_vertex():
         _assert_no_op_start(build_attack_milp(bank, tau, inst, target))
 
 
-def _highs_result(problem):
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    lp = problem.lp
-    A = np.array([c.coeffs for c in lp.constraints])
-    lo = np.array([-np.inf if c.sense == LE else c.rhs for c in lp.constraints])
-    hi = np.array([np.inf if c.sense == GE else c.rhs for c in lp.constraints])
-    integrality = np.zeros(lp.n_vars)
-    integrality[sorted(problem.binary_vars)] = 1
-    return milp(
-        lp.objective,
-        constraints=LinearConstraint(A, lo, hi),
-        bounds=Bounds(lp.lower, lp.upper),
-        integrality=integrality,
-        options={"mip_rel_gap": 0.0},
-    )
-
-
 def test_no_op_start_matches_cold_start_and_highs():
     """The no-op start changes the path, never the answer: against a cold
     root and HiGHS on random affine attacks, and on neural trust regions
@@ -568,7 +535,7 @@ def test_no_op_start_matches_cold_start_and_highs():
     for problem in problems:
         warm = solve_milp(problem)
         cold = solve_milp(replace(problem, start=None))
-        ref = _highs_result(problem)
+        ref = highs_milp(problem)
         statuses.append(warm.status)
         assert warm.status == cold.status
         if ref.status == 2:  # infeasible
@@ -613,7 +580,7 @@ def test_warm_start_from_a_related_milp_matches_no_op_start_and_highs():
     for problem, donor in pairs:
         warm = solve_milp(replace(problem, start=solve_milp(donor).basis))
         no_op = solve_milp(problem)
-        ref = _highs_result(problem)
+        ref = highs_milp(problem)
         statuses.append(warm.status)
         assert warm.status == no_op.status
         if ref.status == 2:  # infeasible
@@ -623,7 +590,7 @@ def test_warm_start_from_a_related_milp_matches_no_op_start_and_highs():
             assert warm.status == Status.OPTIMAL
             assert warm.objective == pytest.approx(ref.fun, abs=1e-6 * max(1.0, abs(ref.fun)))
             assert no_op.objective == pytest.approx(ref.fun, abs=1e-6 * max(1.0, abs(ref.fun)))
-        relaxed = _highs_result(MILPProblem(problem.lp, frozenset()))
+        relaxed = highs_milp(MILPProblem(problem.lp, frozenset()))
         if relaxed.status == 0:
             x = _start_vertex(replace(problem, start=warm.basis))[0][: problem.lp.n_vars]
             assert check_solution(problem.lp, x) <= 1e-7
@@ -739,7 +706,7 @@ def test_forced_activations_are_presolved_exactly():
         assert np.array_equal(lp.lower[d:], forced)
         unforced = lp.lower.copy()
         unforced[d:] = 0.0
-        ref = _highs_result(replace(problem, lp=lp.with_bounds(unforced, lp.upper)))
+        ref = highs_milp(replace(problem, lp=lp.with_bounds(unforced, lp.upper)))
         sol = solve_milp(problem)
         over_budget = moved.size > budget
         if ref.status == 2:  # infeasible
@@ -902,3 +869,55 @@ def test_attack_nn_reports_an_alarming_clean_row():
     assert result.solver_status == "clean_alarm"
     assert result.feasible is False
     assert result.n_attacked == 0
+
+
+def test_attack_nn_prefers_a_stealthy_target_to_the_no_op(monkeypatch):
+    """The clean row alarms.  Target 0's trust-region MILPs are all
+    infeasible and the probe lattice misses the narrow stealthy band, so
+    target 0 can only offer the no-op; target 1's descent reaches the band.
+    The stealthy attack wins although the no-op's objective is lower."""
+    # Sensor 2's detector reads sensor 1: residual |y1 - y2| = 1.06 > 0.01.
+    nn = NeuralModel(((np.array([[1.0]]), np.array([0.0])),))
+    bank = PredictorBank({2: DetectorEntry(nn, 2, np.array([1]))}, (2,))
+    tau = ThresholdConfig({2: 0.01})
+    y = np.array([-10.0, 1.06, 0.0])
+    inst = AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(0, 1), budget=1, eta=2.0)
+    assert all(attack._probe_seeds(bank, tau, inst, t) == [] for t in inst.critical)
+
+    targets = []
+    real_build, real_solve = attack.build_attack_milp, attack.solve_milp
+
+    def build(bank, tau, inst, target, **kwargs):
+        targets.append(target)
+        return real_build(bank, tau, inst, target, **kwargs)
+
+    def solve(problem):
+        return MILPSolution(Status.INFEASIBLE, None, math.inf) if targets[-1] == 0 else real_solve(problem)
+
+    monkeypatch.setattr(attack, "build_attack_milp", build)
+    monkeypatch.setattr(attack, "solve_milp", solve)
+    result = attack_nn(bank, tau, inst, Alg1Config(epsilon0=4.0, epsilon_min=4.0 / 2**10, n_max=20))
+    assert set(targets) == {0, 1}
+    assert (result.target, result.solver_status, result.feasible) == (1, "optimal", True)
+    assert result.objective == pytest.approx(-0.01, abs=1e-9)
+    assert attack.certify(result) is result
+
+
+def test_attack_linear_on_an_all_other_columns_bank_matches_enumeration():
+    """Detectors that read every other column, the other critical sensor
+    and the controls included: the exact attack equals support enumeration
+    over the targets (desk seed 7, 600 steps, test rows 0-2, B=1-3)."""
+    data = simulate(desk_config(seed=7), 600)
+    train, test = split_sequential(data, 0.8)
+    bank = train_bank(train, family="linear", feature_mode=FEATURE_MODE_ALL_OTHERS)
+    for s in bank.detector_set:
+        assert bank.detectors[s].feature_indices.tolist() == [i for i in range(train.n_columns) if i != s]
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
+    for row in range(3):
+        for budget in (1, 2, 3):
+            inst = instance_from_dataset(train, test.values[row], budget=budget)
+            result = attack_linear(bank, tau, inst)
+            oracle = min(oracle_attack_enumerate(bank, tau, inst, t) for t in inst.critical)
+            assert result.objective == pytest.approx(oracle, abs=1e-6), (row, budget)
+            assert result.feasible, (row, budget)
+            assert_result_invariants(result, inst)

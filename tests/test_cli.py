@@ -5,10 +5,11 @@ import math
 import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from _helpers import stealth_breaking_solve
-from resguard import attack
+from resguard import attack, plant
 from resguard.cli import (
     DEFAULT_CONFIG,
     EXIT_CONFIG,
@@ -197,3 +198,34 @@ def test_attack_and_defend_refuse_an_attack_they_cannot_back_up(
     monkeypatch.setattr(attack, "solve_milp", solve)
     assert main([command, "--config", str(cfg_path), "--out", str(run)]) == code
     assert not (run / report).exists()
+
+
+def test_plant_overrides_given_as_plain_json(tmp_path):
+    """Overrides arrive from JSON as strings and lists; ``simulate`` writes
+    the same data as the library call with enum and array values, and an
+    unknown nonlinearity is a config error."""
+    overrides = {
+        "nonlinearity": "tanh",
+        "nonlinear_channels": [0, 3],
+        "noise_std": [0.1, 0.2, 0.3, 0.4, 0.1, 0.2, 0.3, 0.4],
+        "setpoints": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
+    }
+    config = {"version": 1, "seed": 5, "output_dir": str(tmp_path / "cli")}
+    config["plant"] = {"preset": "desk", "steps": 200, "overrides": overrides}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
+
+    pconf = plant.desk_config(
+        seed=5,
+        nonlinearity=plant.Nonlinearity.TANH,
+        nonlinear_channels=(0, 3),
+        noise_std=np.array(overrides["noise_std"]),
+        setpoints=np.array(overrides["setpoints"]),
+    )
+    plant.save_csv(plant.simulate(pconf, 200), tmp_path / "lib.csv", tmp_path / "lib.roles.json")
+    assert (tmp_path / "cli" / "data" / "clean.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+    config["plant"]["overrides"] = {"nonlinearity": "bogus"}
+    cfg_path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG

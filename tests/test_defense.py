@@ -180,4 +180,6 @@ def test_defense_config_validation():
     with pytest.raises(ValueError):
         DefenseConfig(gamma=-1.0)
     with pytest.raises(ValueError):
+        DefenseConfig(gamma=float("nan"))
+    with pytest.raises(ValueError):
         DefenseConfig(epsilon=0.0)

@@ -16,7 +16,6 @@ from resguard.lp_milp import (
     MILPProblem,
     Status,
     check_solution,
-    problem_to_json,
     solve_lp,
     solve_milp,
 )
@@ -258,17 +257,6 @@ def test_milp_binary_bounds_validation():
     lp = LinearProgram(np.array([1.0]), (), np.array([0.0]), np.array([2.0]))
     with pytest.raises(ValueError):
         MILPProblem(lp, frozenset({0}))
-
-
-def test_problem_dump_schema():
-    p = MILPProblem(
-        LinearProgram(np.array([1.0, 2.0]), (Constraint(np.array([1.0, 0.0]), LE, 1.0),), np.zeros(2), np.ones(2)),
-        frozenset({1}),
-    )
-    dump = problem_to_json(p)
-    assert dump["objective"] == [1.0, 2.0]
-    assert dump["senses"] == ["<="]
-    assert dump["binaries"] == [1]
 
 
 def _highs_lp(lp: LinearProgram):

@@ -224,6 +224,15 @@ def test_serialization_round_trip():
         assert back.feature_names == ("a", "b", "c")
 
 
+def test_model_json_rejects_a_non_tanh_activation():
+    obj = model_to_json(random_neural_model(np.random.default_rng(31)))
+    assert obj["activation"] == "tanh"
+    model_from_json(obj)
+    obj["activation"] = "relu"
+    with pytest.raises(ValueError, match="tanh"):
+        model_from_json(obj)
+
+
 def test_normalized_mse_uses_training_scaler():
     rng = np.random.default_rng(29)
     X = rng.normal(size=(100, 2))

@@ -86,6 +86,12 @@ def test_dataset_invariants():
     assert data.sensor_columns() == (0,)
 
 
+def test_nonlinearity_is_coerced_and_checked_at_construction():
+    assert PlantConfig(n_sensors=2, nonlinearity="tanh").nonlinearity is Nonlinearity.TANH
+    with pytest.raises(ValueError):
+        PlantConfig(n_sensors=2, nonlinearity="bogus")
+
+
 def test_desk_and_paper_templates():
     desk = desk_config()
     assert desk.n_sensors == 8 and desk.n_controls == 2
