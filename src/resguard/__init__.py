@@ -54,7 +54,6 @@ from .detector import (
     train_bank,
 )
 from .lp_milp import (
-    Constraint,
     LinearProgram,
     MILPProblem,
     MILPSolution,

@@ -40,7 +40,8 @@ class AttackInstance:
     """One timestep's attack problem.
 
     ``y`` is the full measurement row (sensors and controls); only columns
-    in ``attackable`` may be perturbed, and control columns never qualify.
+    in ``attackable`` (default ``None``: every sensor) may be perturbed, and
+    control columns never qualify.
     ``eta`` limits each perturbation (``inf`` defers to the per-sensor box
     ``[box_lo, box_hi]``, which also keeps the optimization bounded).
     """
@@ -50,7 +51,7 @@ class AttackInstance:
     critical: tuple[int, ...]
     budget: int
     eta: np.ndarray | float = math.inf
-    attackable: frozenset[int] = frozenset()
+    attackable: frozenset[int] | None = None
     direction: Direction = Direction.MINIMIZE
     box_lo: np.ndarray | None = None
     box_hi: np.ndarray | None = None
@@ -66,7 +67,7 @@ class AttackInstance:
         critical = tuple(int(s) for s in self.critical)
         if not critical or any(s not in sensors for s in critical):
             raise ValueError("critical sensors must be sensor columns")
-        attackable = frozenset(int(s) for s in self.attackable) or frozenset(sensors)
+        attackable = frozenset(sensors if self.attackable is None else (int(s) for s in self.attackable))
         if any(s not in sensors for s in attackable):
             raise ValueError("attackable set must contain only sensor columns")
         if self.budget < 0 or self.budget > len(attackable):
@@ -117,7 +118,8 @@ def instance_from_dataset(
     critical=None,
 ) -> AttackInstance:
     """Build an instance from a dataset row, boxing sensors by the clean
-    data range widened by 10x its span."""
+    data range widened by 10x its span.  ``attackable=None`` means every
+    sensor."""
     y = data.row(row) if isinstance(row, (int, np.integer)) else np.asarray(row, dtype=float)
     sensors = data.sensor_columns()
     lo = data.values.min(axis=0)
@@ -129,7 +131,7 @@ def instance_from_dataset(
         critical=tuple(critical) if critical is not None else data.critical_columns(),
         budget=budget,
         eta=eta,
-        attackable=frozenset(attackable) if attackable is not None else frozenset(sensors),
+        attackable=attackable,
         direction=direction,
         box_lo=np.minimum(lo - 10.0 * span, y),
         box_hi=np.maximum(hi + 10.0 * span, y),
@@ -319,7 +321,7 @@ def build_attack_milp(
 
     objective = np.zeros(n)
     objective[pos[target]] = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
-    lp = LinearProgram.from_arrays(objective, A, rhs, lower, upper)
+    lp = LinearProgram(objective, A, rhs, lower, upper)
     N = n + A.shape[0]
     basic = np.arange(n, N)
     basic[act] = att
@@ -413,15 +415,18 @@ def _probe_seeds(
     bank: PredictorBank,
     tau: ThresholdConfig,
     inst: AttackInstance,
-    target: int,
-) -> list[np.ndarray]:
-    """Verified-feasible starting points from a coarse lattice over the
-    perturbation box, on the first 8 supports of at most 3 sensors.
+) -> dict[int, list[np.ndarray]]:
+    """Per critical target, up to 3 verified-feasible starting points from a
+    coarse lattice over the perturbation box, on the first 8 supports of at
+    most 3 sensors.
 
     Local linearization cannot see disconnected branches of a nonlinear
     stealth set, so the descent loop is restarted from the best lattice
-    points that pass exact forward propagation.  Deterministic and cheap:
-    a few hundred candidate rows at most.
+    points that pass exact forward propagation.  The lattice is built and
+    verified once, in one batched bank evaluation, and sorted per target.
+    An axis has 33 points (1 sensor), 65 (2 sensors) or 7 (3 sensors), plus
+    0 when that is not among them.  On the desk preset's 8 sensors the
+    lattice has 272, 34,848 and 4,096 rows at budgets 1, 2 and 3.
     """
     dlo, dhi = inst.delta_bounds()
     attackable = sorted(inst.attackable)
@@ -442,21 +447,23 @@ def _probe_seeds(
             block[:, s] += offsets.ravel()
         blocks.append(block)
     if not blocks:
-        return []
+        return {target: [] for target in inst.critical}
 
     matrix = np.vstack(blocks)
     feasible = matrix[stealth_margin(bank, tau, matrix) <= _ACCEPT_TOL]
 
     sign = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
-    order = np.argsort(sign * feasible[:, target], kind="stable") if feasible.size else []
-    seeds: list[np.ndarray] = []
-    for i in order:
-        if len(seeds) >= 3:
-            break
-        row = feasible[i]
-        if all(np.max(np.abs(row - s)) > 1e-9 for s in seeds) and np.max(np.abs(row - inst.y)) > 1e-9:
-            seeds.append(row)
-    return seeds
+    probes = {}
+    for target in inst.critical:
+        seeds: list[np.ndarray] = []
+        for i in np.argsort(sign * feasible[:, target], kind="stable"):
+            if len(seeds) >= 3:
+                break
+            row = feasible[i]
+            if all(np.max(np.abs(row - s)) > 1e-9 for s in seeds) and np.max(np.abs(row - inst.y)) > 1e-9:
+                seeds.append(row)
+        probes[target] = seeds
+    return probes
 
 
 def attack_nn(
@@ -537,8 +544,9 @@ def attack_nn(
         return current, iters, warm
 
     best: AttackResult | None = None
+    probes = _probe_seeds(bank, tau, inst)
     for target in inst.critical:
-        seeds = [inst.y] + _probe_seeds(bank, tau, inst, target)
+        seeds = [inst.y] + probes[target]
         final_point: np.ndarray | None = None
         total_iters = 0
         warm: Basis | None = None

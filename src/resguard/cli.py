@@ -81,9 +81,36 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def _check_types(default, value, name: str) -> None:
+    """Raise ``ConfigError`` unless ``value`` has the JSON type of its
+    default: a ``null`` default also takes a number, list elements match the
+    default's elements, and keys without a default are not checked."""
+    allowed = {_json_type(default)} | ({"number"} if default is None else set())
+    if _json_type(value) not in allowed:
+        raise ConfigError(f"{name} must be {' or '.join(sorted(allowed))}, not {_json_type(value)}")
+    if isinstance(default, dict):
+        for key, item in value.items():
+            if key in default:
+                _check_types(default[key], item, f"{name}.{key}" if name else key)
+    elif isinstance(default, list):
+        for i, item in enumerate(value):
+            _check_types(default[0], item, f"{name}[{i}]")
+
+
 def load_config(path: str | None) -> dict:
     """The defaults merged with the config file at ``path``, as a fresh copy
-    the caller may change."""
+    the caller may change.  Each value in the file must have the JSON type
+    of its default."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -98,6 +125,7 @@ def load_config(path: str | None) -> dict:
         version = user.get("version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {version!r}")
+        _check_types(DEFAULT_CONFIG, user, "")
         cfg = _merge(cfg, user)
     return cfg
 

@@ -1,17 +1,17 @@
 """Self-contained dense LP and mixed-binary solver.
 
+Every LP is ``min c . x`` subject to ``A x <= b`` and finite box bounds.
 ``solve_lp`` runs a bounded-variable primal simplex on the standard form
-``[A | I] z = b``: one slack per row, ``>=`` rows negated so that every
-inequality slack lies in ``[0, inf)``, and equality slacks fixed at 0.
-Variable bounds are never rows; each nonbasic column rests at its lower
-or upper bound.  Phase 1 is composite: while a basic variable is out of
-bounds the pricing minimizes the sum of bound violations, then it
-minimizes the true cost.  Basic values and reduced costs are recomputed
-from the tableau on every iteration, so no cost row can drift.  Dantzig
-pricing is used until a run of degenerate pivots, after which Bland's rule
-takes over to rule out cycling.  Any basis can start the method: the
-slack basis with every structural variable at its lower bound (cold), or
-any other basis, which is refactorized.
+``[A | I] z = b``: one slack per row, each in ``[0, inf)``.  Variable
+bounds are never rows; each nonbasic column rests at its lower or upper
+bound.  Phase 1 is composite: while a basic variable is out of bounds the
+pricing minimizes the sum of bound violations, then it minimizes the true
+cost.  Basic values and reduced costs are recomputed from the tableau on
+every iteration, so no cost row can drift.  Dantzig pricing is used until
+a run of degenerate pivots, after which Bland's rule takes over to rule
+out cycling.  Any basis can start the method: the slack basis with every
+structural variable at its lower bound (cold), or any other basis, which
+is refactorized.
 
 ``solve_milp`` wraps it in branch-and-bound over the binary variables with
 best-bound node selection and most-fractional branching.  The root starts
@@ -40,7 +40,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-LE, EQ, GE = "<=", "=", ">="
+# Every row is ``LE``.  ``perfbench/workloads.py::highs_objective`` reads the
+# rows through ``LinearProgram.constraints`` and tests their sense against
+# ``LE`` and ``GE``, so both names and that view stay.
+LE, GE = "<=", ">="
 
 _PIVOT_TOL = 1e-10
 _RCOST_TOL = 1e-9
@@ -57,55 +60,24 @@ class Status(Enum):
     NUMERICAL = "numerical"  # no vertex that passes check_solution was found
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
+    """One row ``coeffs . x <= rhs`` of ``LinearProgram.constraints``."""
+
     coeffs: np.ndarray
     sense: str
     rhs: float
 
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim != 1:
-            raise ValueError("constraint coefficients must be a vector")
-        if self.sense not in (LE, EQ, GE):
-            raise ValueError(f"unknown sense {self.sense!r}")
-        if not (np.all(np.isfinite(coeffs)) and math.isfinite(self.rhs)):
-            raise ValueError("constraint data must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
-
 
 class LinearProgram:
-    """Minimize ``objective . x`` subject to ``A x <= b`` (``A x = b`` on
-    the rows where ``eq``) and finite box bounds.
+    """Minimize ``objective . x`` subject to ``A x <= b`` and finite box
+    bounds.
 
-    That standard form is the data.  ``LinearProgram(objective, constraints,
-    lower, upper)`` stacks ``Constraint`` rows into it, negating ``>=`` rows;
-    ``from_arrays`` takes the arrays as they are.  Either way the form is
-    validated once, as whole arrays, and made read-only; ``with_bounds``
-    copies share it.
+    The arrays are validated once, as whole arrays, and made read-only;
+    ``with_bounds`` copies share them.  ``A`` needs one column per variable
+    even when it has no rows.
     """
 
-    def __init__(self, objective, constraints, lower, upper):
-        cons = tuple(constraints)
-        if cons:
-            sign = np.array([-1.0 if con.sense == GE else 1.0 for con in cons])
-            A = np.array([con.coeffs for con in cons]) * sign[:, None]
-            b = np.array([con.rhs for con in cons]) * sign
-        else:
-            A, b = np.zeros((0, np.size(objective))), np.zeros(0)
-        self._set_form(objective, A, b, [con.sense == EQ for con in cons])
-        self._set_bounds(lower, upper)
-
-    @classmethod
-    def from_arrays(cls, objective, A, b, lower, upper, eq=None) -> "LinearProgram":
-        """The LP with rows ``A x <= b``, or ``A x = b`` where ``eq`` (default:
-        no equality rows)."""
-        lp = cls.__new__(cls)
-        lp._set_form(objective, A, b, eq)
-        lp._set_bounds(lower, upper)
-        return lp
-
-    def _set_form(self, objective, A, b, eq) -> None:
+    def __init__(self, objective, A, b, lower, upper):
         c = np.array(objective, dtype=float)
         if c.ndim != 1:
             raise ValueError("objective and bounds must be vectors of equal length")
@@ -113,19 +85,19 @@ class LinearProgram:
             raise ValueError("objective and bounds must be finite")
         A = np.array(A, dtype=float)
         b = np.array(b, dtype=float)
-        eq = np.zeros(b.shape, dtype=bool) if eq is None else np.array(eq, dtype=bool)
         if A.ndim != 2 or A.shape[1] != c.size:
             raise ValueError("constraint length does not match variable count")
-        if b.shape != (A.shape[0],) or eq.shape != b.shape:
-            raise ValueError("constraint matrix, right-hand side and senses must have matching rows")
+        if b.shape != (A.shape[0],):
+            raise ValueError("constraint matrix and right-hand side must have matching rows")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("constraint data must be finite")
         # ``[A | I | b]``, the tableau of the slack basis, which every
         # factorization solves against; ``with_bounds`` copies share it.
         full = np.hstack([A, np.eye(b.size), b[:, None]])
-        for array in (c, A, b, eq, full):
+        for array in (c, A, b, full):
             array.flags.writeable = False
-        self.objective, self.A, self.b, self.eq, self._full = c, A, b, eq, full
+        self.objective, self.A, self.b, self._full = c, A, b, full
+        self._set_bounds(lower, upper)
 
     def _set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
         lo = np.asarray(lower, dtype=float)
@@ -145,9 +117,8 @@ class LinearProgram:
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
-        """The rows as ``Constraint``s, in order; ``>=`` rows come back as the
-        negated ``<=`` rows they are stored as."""
-        return tuple(Constraint(a, EQ if e else LE, float(r)) for a, r, e in zip(self.A, self.b, self.eq))
+        """The rows of ``A x <= b`` as ``Constraint``s, in order."""
+        return tuple(Constraint(a, LE, float(r)) for a, r in zip(self.A, self.b))
 
     def with_bounds(self, lower: np.ndarray, upper: np.ndarray) -> "LinearProgram":
         """The same rows and objective under new bounds; only the bounds are
@@ -217,11 +188,10 @@ def solve_lp(
     returns a vertex and its final basis.  ``_tableau`` is ``basis``
     already factored by ``_factor``, which the solve then overwrites.
     """
-    eq = lp.eq
-    m, n = eq.size, lp.n_vars
+    m, n = lp.b.size, lp.n_vars
     N = n + m
     lo = np.concatenate([lp.lower, np.zeros(m)])
-    hi = np.concatenate([lp.upper, np.where(eq, 0.0, np.inf)])
+    hi = np.concatenate([lp.upper, np.full(m, np.inf)])
     cost = np.concatenate([lp.objective, np.zeros(m)])
     movable = hi > lo
     if max_iterations is None:
@@ -418,9 +388,8 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
 def check_solution(problem: MILPProblem | LinearProgram, x: np.ndarray) -> float:
     """Worst constraint violation of ``x`` against the raw problem data."""
     lp = problem.lp if isinstance(problem, MILPProblem) else problem
-    excess = lp.A @ x - lp.b
     worst = max(
-        float(np.max(np.where(lp.eq, np.abs(excess), excess), initial=0.0)),
+        float(np.max(lp.A @ x - lp.b, initial=0.0)),
         float(np.max(lp.lower - x, initial=0.0)),
         float(np.max(x - lp.upper, initial=0.0)),
     )

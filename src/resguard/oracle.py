@@ -23,7 +23,7 @@ import numpy as np
 
 from .attack import AttackInstance, Direction
 from .detector import PredictorBank, ThresholdConfig
-from .lp_milp import Constraint, LinearProgram, Status, solve_lp, LE
+from .lp_milp import LinearProgram, Status, solve_lp
 from .models import LinearModel, predict_batch
 
 _ENUM_LIMIT = 20
@@ -216,11 +216,13 @@ def _subset_lp(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstance, 
         else:
             lower[i] = upper[i] = y[s]
 
-    constraints = []
-    for s in bank.detector_set:
+    # Each detector's residual within [-tau, tau]: a pair of rows.
+    A = np.zeros((2 * len(bank.detector_set), d))
+    rhs = np.zeros(A.shape[0])
+    for k, s in enumerate(bank.detector_set):
         entry = bank.detectors[s]
         model: LinearModel = entry.model
-        row = np.zeros(d)
+        row = A[2 * k]
         row[pos[s]] = 1.0
         const = model.b
         for w_j, f in zip(model.w, entry.feature_indices):
@@ -229,13 +231,12 @@ def _subset_lp(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstance, 
                 row[pos[f]] -= w_j
             else:
                 const += w_j * y[f]
-        t = tau.tau[s]
-        constraints.append(Constraint(row, LE, t + const))
-        constraints.append(Constraint(-row, LE, t - const))
+        A[2 * k + 1] = -row
+        rhs[2 * k], rhs[2 * k + 1] = tau.tau[s] + const, tau.tau[s] - const
 
     objective = np.zeros(d)
     objective[pos[target]] = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
-    return LinearProgram(objective, tuple(constraints), lower, upper)
+    return LinearProgram(objective, A, rhs, lower, upper)
 
 
 def oracle_attack_enumerate(

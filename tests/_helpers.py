@@ -7,6 +7,8 @@ from resguard.detector import DetectorEntry, PredictorBank, ThresholdConfig
 from resguard.lp_milp import GE, LE, MILPSolution, Status
 from resguard.models import LinearModel, NeuralModel, Scaler
 
+EQ = "="  # an equality row's sense for ``stack_rows``
+
 
 def random_linear_setup(rng, d=None, budget=None, n_critical=None, all_finite_eta=False):
     """Random affine bank + instance with the clean point stealthy.
@@ -116,20 +118,32 @@ def stealth_breaking_solve(problem):
     return MILPSolution(Status.OPTIMAL, x, float(lp.objective @ x), 1)
 
 
+def stack_rows(rows, n):
+    """``(a, sense, rhs)`` rows of any sense as the arrays ``A, b`` of
+    ``A x <= b`` over ``n`` variables: a ``>=`` row negated, an ``=`` row as
+    the pair ``a x <= rhs`` and ``-a x <= -rhs``."""
+    A, b = [], []
+    for a, sense, rhs in rows:
+        if sense != GE:
+            A.append(a)
+            b.append(rhs)
+        if sense != LE:
+            A.append(-np.asarray(a))
+            b.append(-rhs)
+    return np.array(A, dtype=float).reshape(len(b), n), np.array(b, dtype=float)
+
+
 def highs_milp(problem):
     """scipy's HiGHS on the same MILP with ``mip_rel_gap=0``: the
     independent reference for the built-in branch and bound."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     lp = problem.lp
-    A = np.array([c.coeffs for c in lp.constraints])
-    lo = np.array([-np.inf if c.sense == LE else c.rhs for c in lp.constraints])
-    hi = np.array([np.inf if c.sense == GE else c.rhs for c in lp.constraints])
     integrality = np.zeros(lp.n_vars)
     integrality[sorted(problem.binary_vars)] = 1
     return milp(
         lp.objective,
-        constraints=LinearConstraint(A, lo, hi),
+        constraints=LinearConstraint(lp.A, -np.inf, lp.b),
         bounds=Bounds(lp.lower, lp.upper),
         integrality=integrality,
         options={"mip_rel_gap": 0.0},

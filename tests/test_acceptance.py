@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import finite_difference_gradient, random_linear_setup, random_neural_model
+from _helpers import finite_difference_gradient, random_linear_setup, random_neural_model, stack_rows
 from resguard.attack import (
     Alg1Config,
     AttackInstance,
@@ -32,7 +32,7 @@ from resguard.detector import (
     train_bank,
     feature_indices_for,
 )
-from resguard.lp_milp import Constraint, LinearProgram, MILPProblem, Status, solve_lp, solve_milp
+from resguard.lp_milp import LinearProgram, MILPProblem, Status, solve_lp, solve_milp
 from resguard.models import (
     EnsembleModel,
     LinearModel,
@@ -334,9 +334,9 @@ def test_criterion_10_solver_self_test():
             sense = rng.choice(["<=", ">="])
             base = float(a @ x_feas)
             rhs = base + (0.5 if sense == "<=" else -0.5) * abs(rng.normal())
-            cons.append(Constraint(a, sense, rhs))
+            cons.append((a, sense, rhs))
         problem = MILPProblem(
-            LinearProgram(rng.normal(size=n), tuple(cons), lo, hi), frozenset(range(n_bin))
+            LinearProgram(rng.normal(size=n), *stack_rows(cons, n), lo, hi), frozenset(range(n_bin))
         )
         sol = solve_milp(problem)
         best = math.inf

@@ -28,7 +28,7 @@ from resguard.detector import (
     residuals,
     train_bank,
 )
-from resguard.lp_milp import EQ, GE, LE, Basis, Constraint, MILPProblem, MILPSolution, Status, check_solution, solve_milp
+from resguard.lp_milp import LE, Basis, Constraint, MILPProblem, MILPSolution, Status, check_solution, solve_milp
 from resguard.models import EnsembleModel, LinearModel, NeuralModel, TrainConfig, predict_batch, taylor_linearize
 from resguard.oracle import oracle_attack_enumerate, oracle_attack_grid
 from resguard.plant import Nonlinearity, desk_config, paper_scale_config, simulate, split_sequential
@@ -306,6 +306,24 @@ def test_instance_from_dataset_boxes():
     assert np.allclose(inst.box_hi, np.maximum(hi + 10 * span, inst.y))
 
 
+def test_empty_attackable_set_means_no_sensor():
+    """``attackable=None`` means every sensor; an empty set means none, so
+    only a zero budget fits it."""
+    y = np.array([1.0, 2.0, 3.0])
+    assert AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(0,), budget=2).attackable == {0, 1, 2}
+    with pytest.raises(ValueError, match="budget 2 outside"):
+        AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(0,), budget=2, attackable=frozenset())
+    inst = AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(0,), budget=0, attackable=frozenset())
+    assert inst.attackable == frozenset()
+    assert all(np.array_equal(bound, np.zeros(3)) for bound in inst.delta_bounds())
+
+    data = simulate(desk_config(seed=1), 120)
+    with pytest.raises(ValueError, match="budget 1 outside"):
+        instance_from_dataset(data, 5, budget=1, attackable=[])
+    assert instance_from_dataset(data, 5, budget=0, attackable=[]).attackable == frozenset()
+    assert instance_from_dataset(data, 5, budget=1).attackable == set(data.sensor_columns())
+
+
 def test_at_row_equals_the_inline_reposing():
     train, test = split_sequential(simulate(desk_config(seed=3), 600), 0.8)
     template = instance_from_dataset(train, test.values[0], budget=2)
@@ -424,6 +442,8 @@ def test_attack_linear_matches_highs_at_paper_scale():
             problem = build_attack_milp(bank, tau, inst, target)
             assert (problem.lp.n_vars, len(problem.lp.constraints)) == (82, 93)
             assert all(c.sense == LE for c in problem.lp.constraints)
+            assert np.array_equal([c.coeffs for c in problem.lp.constraints], problem.lp.A)
+            assert np.array_equal([c.rhs for c in problem.lp.constraints], problem.lp.b)
             highs = highs_milp(problem)
             assert highs.status == 0, highs.message
             ref = float(highs.fun)
@@ -462,16 +482,13 @@ def _start_vertex(problem):
     """``[x | slacks]`` at ``problem.start``, refactorized with numpy from
     the raw rows, with the bounds of every column."""
     lp, start = problem.lp, problem.start
-    sign = np.array([-1.0 if c.sense == GE else 1.0 for c in lp.constraints])
-    A = np.array([c.coeffs for c in lp.constraints]) * sign[:, None]
-    b = np.array([c.rhs for c in lp.constraints]) * sign
-    m = b.size
-    full = np.hstack([A, np.eye(m)])
+    m = lp.b.size
+    full = np.hstack([lp.A, np.eye(m)])
     lo = np.concatenate([lp.lower, np.zeros(m)])
-    hi = np.concatenate([lp.upper, np.where([c.sense == EQ for c in lp.constraints], 0.0, np.inf)])
+    hi = np.concatenate([lp.upper, np.full(m, np.inf)])
     z = np.where(start.at_upper, hi, lo)
     z[start.basic] = 0.0
-    z[start.basic] = np.linalg.solve(full[:, start.basic], b - full @ z)
+    z[start.basic] = np.linalg.solve(full[:, start.basic], lp.b - full @ z)
     return z, lo, hi
 
 
@@ -830,7 +847,7 @@ def test_probe_seeds_match_the_product_lattice():
         tau = ThresholdConfig({s: r + 0.4 for s, r in residuals(bank, y).items()})
         target = int(rng.integers(4))
         inst = AttackInstance(y=y, sensor_columns=(0, 1, 2, 3), critical=(target,), budget=budget, eta=1.5)
-        got = attack._probe_seeds(bank, tau, inst, target)
+        got = attack._probe_seeds(bank, tau, inst)[target]
         want = _reference_probe_seeds(bank, tau, inst, target)
         assert got and len(got) == len(want)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -882,7 +899,7 @@ def test_attack_nn_prefers_a_stealthy_target_to_the_no_op(monkeypatch):
     tau = ThresholdConfig({2: 0.01})
     y = np.array([-10.0, 1.06, 0.0])
     inst = AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(0, 1), budget=1, eta=2.0)
-    assert all(attack._probe_seeds(bank, tau, inst, t) == [] for t in inst.critical)
+    assert attack._probe_seeds(bank, tau, inst) == {0: [], 1: []}
 
     targets = []
     real_build, real_solve = attack.build_attack_milp, attack.solve_milp

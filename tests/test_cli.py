@@ -114,6 +114,37 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("attack", {"budget": None}),
+        ("attack", {"budgets": 3}),
+        ("attack", 5),
+        ("defense", {"horizon": None}),
+        ("train", {"hidden_layers": 16}),
+        ("plant", {"steps": None}),
+    ],
+)
+def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, section, value):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"version": 1, "output_dir": str(tmp_path / "run"), section: value}))
+    assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_types_follow_the_defaults(tmp_path):
+    """``null`` defaults also take numbers, and keys without a default are
+    not checked; a list element must match the default's elements."""
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"attack": {"eta": 0.5}, "defense": {"epsilon": 1}, "plant": {"overrides": {"noise_std": 0.1}}}))
+    cfg = load_config(str(cfg_path))
+    assert (cfg["attack"]["eta"], cfg["defense"]["epsilon"]) == (0.5, 1)
+    cfg_path.write_text(json.dumps({"attack": {"budgets": [1, True]}}))
+    with pytest.raises(ValueError, match=r"attack\.budgets\[1\]"):
+        load_config(str(cfg_path))
+
+
 def test_cli_overrides(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"version": 1, "output_dir": str(tmp_path / "a")}))

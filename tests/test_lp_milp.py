@@ -6,23 +6,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from _helpers import EQ, stack_rows
 from resguard import lp_milp
-from resguard.lp_milp import (
-    EQ,
-    GE,
-    LE,
-    Constraint,
-    LinearProgram,
-    MILPProblem,
-    Status,
-    check_solution,
-    solve_lp,
-    solve_milp,
-)
+from resguard.lp_milp import GE, LE, LinearProgram, MILPProblem, Status, check_solution, solve_lp, solve_milp
+
+NO_ROWS = np.zeros((0, 1)), np.zeros(0)
 
 
 def test_lp_single_variable():
-    lp = LinearProgram(np.array([1.0]), (Constraint(np.array([1.0]), GE, 3.0),), np.array([0.0]), np.array([10.0]))
+    lp = LinearProgram(np.array([1.0]), [[-1.0]], [-3.0], np.array([0.0]), np.array([10.0]))  # x >= 3
     sol = solve_lp(lp)
     assert sol.status == Status.OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
@@ -31,7 +23,8 @@ def test_lp_single_variable():
 def test_lp_segment_returns_vertex():
     lp = LinearProgram(
         np.array([-1.0, -1.0]),
-        (Constraint(np.array([1.0, 1.0]), LE, 1.0),),
+        [[1.0, 1.0]],
+        [1.0],
         np.zeros(2),
         np.ones(2),
     )
@@ -44,33 +37,29 @@ def test_lp_segment_returns_vertex():
 
 
 def test_lp_infeasible():
-    lp = LinearProgram(np.array([1.0]), (Constraint(np.array([1.0]), GE, 5.0),), np.array([0.0]), np.array([2.0]))
+    lp = LinearProgram(np.array([1.0]), [[-1.0]], [-5.0], np.array([0.0]), np.array([2.0]))  # x >= 5
     assert solve_lp(lp).status == Status.INFEASIBLE
 
 
 def test_lp_iteration_limit():
     rng = np.random.default_rng(0)
     n = 8
-    cons = tuple(Constraint(rng.normal(size=n), LE, 5.0) for _ in range(10))
-    lp = LinearProgram(rng.normal(size=n), cons, -np.ones(n), np.ones(n))
+    A = np.array([rng.normal(size=n) for _ in range(10)])
+    lp = LinearProgram(rng.normal(size=n), A, np.full(10, 5.0), -np.ones(n), np.ones(n))
     assert solve_lp(lp, max_iterations=1).status == Status.ITERATION_LIMIT
 
 
 def test_lp_validation():
     with pytest.raises(ValueError):
-        LinearProgram(np.array([1.0]), (), np.array([2.0]), np.array([1.0]))
+        LinearProgram(np.array([1.0]), *NO_ROWS, np.array([2.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        LinearProgram(np.array([np.inf]), (), np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        Constraint(np.array([1.0]), "<", 0.0)
+        LinearProgram(np.array([np.inf]), *NO_ROWS, np.array([0.0]), np.array([1.0]))
 
 
 def _enumerate_vertices(lp: LinearProgram):
     """All basic feasible points: intersections of n active facets."""
     n = lp.n_vars
-    facets = []
-    for con in lp.constraints:
-        facets.append((con.coeffs, con.rhs))
+    facets = list(zip(lp.A, lp.b))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
@@ -102,8 +91,8 @@ def test_lp_against_vertex_enumeration():
             sense = rng.choice([LE, GE, EQ], p=[0.5, 0.3, 0.2])
             base = float(a @ x_feas)
             rhs = base + (0.3 if sense == LE else -0.3 if sense == GE else 0.0) * abs(rng.normal())
-            cons.append(Constraint(a, sense, rhs))
-        lp = LinearProgram(rng.normal(size=n), tuple(cons), lo, hi)
+            cons.append((a, sense, rhs))
+        lp = LinearProgram(rng.normal(size=n), *stack_rows(cons, n), lo, hi)
         sol = solve_lp(lp)
         vertices = _enumerate_vertices(lp)
         assert sol.status == Status.OPTIMAL
@@ -139,9 +128,9 @@ def test_lp_against_scipy_at_spec_scale():
                 rhs = base
                 a_eq.append(a)
                 b_eq.append(rhs)
-            cons.append(Constraint(a, sense, rhs))
+            cons.append((a, sense, rhs))
         c = rng.normal(size=n)
-        lp = LinearProgram(c, tuple(cons), lo, hi)
+        lp = LinearProgram(c, *stack_rows(cons, n), lo, hi)
         sol = solve_lp(lp)
         ref = linprog(
             c,
@@ -158,7 +147,7 @@ def test_lp_against_scipy_at_spec_scale():
 
 
 def test_milp_single_binary():
-    p = MILPProblem(LinearProgram(np.array([-1.0]), (), np.array([0.0]), np.array([1.0])), frozenset({0}))
+    p = MILPProblem(LinearProgram(np.array([-1.0]), *NO_ROWS, np.array([0.0]), np.array([1.0])), frozenset({0}))
     sol = solve_milp(p)
     assert sol.status == Status.OPTIMAL
     assert sol.objective == pytest.approx(-1.0, abs=1e-9)
@@ -169,7 +158,8 @@ def test_milp_knapsack_pair():
     p = MILPProblem(
         LinearProgram(
             np.array([-3.0, -4.0]),
-            (Constraint(np.array([1.0, 1.0]), LE, 1.0),),
+            [[1.0, 1.0]],
+            [1.0],
             np.zeros(2),
             np.ones(2),
         ),
@@ -193,8 +183,8 @@ def _random_mixed_binary(rng):
         sense = rng.choice([LE, GE])
         base = float(a @ x_feas)
         rhs = base + (0.5 if sense == LE else -0.5) * abs(rng.normal())
-        cons.append(Constraint(a, sense, rhs))
-    lp = LinearProgram(rng.normal(size=n), tuple(cons), lo, hi)
+        cons.append((a, sense, rhs))
+    lp = LinearProgram(rng.normal(size=n), *stack_rows(cons, n), lo, hi)
     return MILPProblem(lp, frozenset(range(n_bin)))
 
 
@@ -240,7 +230,8 @@ def test_milp_node_cap_returns_incumbent():
     problem = MILPProblem(
         LinearProgram(
             np.array([-1.0, -1.0, -1.0]),
-            (Constraint(np.array([2.0, 2.0, 2.0]), LE, 3.0),),
+            [[2.0, 2.0, 2.0]],
+            [3.0],
             np.zeros(3),
             np.ones(3),
         ),
@@ -254,21 +245,17 @@ def test_milp_node_cap_returns_incumbent():
 
 
 def test_milp_binary_bounds_validation():
-    lp = LinearProgram(np.array([1.0]), (), np.array([0.0]), np.array([2.0]))
+    lp = LinearProgram(np.array([1.0]), *NO_ROWS, np.array([0.0]), np.array([2.0]))
     with pytest.raises(ValueError):
         MILPProblem(lp, frozenset({0}))
 
 
 def _highs_lp(lp: LinearProgram):
     """``scipy.optimize.linprog`` (HiGHS) on the same LP."""
-    ub = [(-c.coeffs, -c.rhs) if c.sense == GE else (c.coeffs, c.rhs) for c in lp.constraints if c.sense != EQ]
-    eq = [(c.coeffs, c.rhs) for c in lp.constraints if c.sense == EQ]
     return linprog(
         lp.objective,
-        A_ub=np.array([a for a, _ in ub]) if ub else None,
-        b_ub=np.array([b for _, b in ub]) if ub else None,
-        A_eq=np.array([a for a, _ in eq]) if eq else None,
-        b_eq=np.array([b for _, b in eq]) if eq else None,
+        A_ub=lp.A,
+        b_ub=lp.b,
         bounds=list(zip(lp.lower, lp.upper)),
         method="highs",
     )
@@ -291,8 +278,8 @@ def test_lp_warm_start_is_exact():
             a = rng.normal(size=n)
             sense = rng.choice([LE, GE, EQ], p=[0.5, 0.3, 0.2])
             slack = {LE: 0.5, GE: -0.5, EQ: 0.0}[sense] * abs(rng.normal())
-            cons.append(Constraint(a, sense, float(a @ x_feas) + slack))
-        lp = LinearProgram(rng.normal(size=n), tuple(cons), lo, hi)
+            cons.append((a, sense, float(a @ x_feas) + slack))
+        lp = LinearProgram(rng.normal(size=n), *stack_rows(cons, n), lo, hi)
         parent = solve_lp(lp)
         assert parent.status == Status.OPTIMAL
 
@@ -319,7 +306,8 @@ def test_lp_warm_start_is_exact():
 def test_numerical_vertex_is_never_optimal(monkeypatch):
     lp = LinearProgram(
         np.array([-1.0, -1.0]),
-        (Constraint(np.array([1.0, 1.0]), LE, 1.5),),
+        [[1.0, 1.0]],
+        [1.5],
         np.zeros(2),
         np.ones(2),
     )
@@ -357,8 +345,8 @@ def test_numerical_warm_root_is_retried_cold(monkeypatch):
 
 
 def _random_rows(rng, n, m):
-    """``m`` random rows of every sense, feasible at a planted point of the
-    box ``[lo, hi]``; returns the rows and the box."""
+    """``m`` random ``(a, sense, rhs)`` rows of every sense, feasible at a
+    planted point of the box ``[lo, hi]``; returns the rows and the box."""
     lo = rng.uniform(-3.0, 0.0, n)
     hi = lo + rng.uniform(0.5, 4.0, n)
     x_feas = rng.uniform(lo, hi)
@@ -367,58 +355,40 @@ def _random_rows(rng, n, m):
         a = rng.normal(size=n)
         sense = rng.choice([LE, GE, EQ], p=[0.5, 0.3, 0.2])
         slack = {LE: 0.5, GE: -0.5, EQ: 0.0}[sense] * abs(rng.normal())
-        cons.append(Constraint(a, sense, float(a @ x_feas) + slack))
+        cons.append((a, sense, float(a @ x_feas) + slack))
     return tuple(cons), lo, hi
-
-
-def test_lp_from_arrays_equals_constraint_rows():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        n, m = int(rng.integers(1, 7)), int(rng.integers(0, 9))
-        cons, lo, hi = _random_rows(rng, n, m)
-        c = rng.normal(size=n)
-        sign = np.array([-1.0 if con.sense == GE else 1.0 for con in cons])
-        A = np.array([con.coeffs for con in cons]).reshape(m, n) * sign[:, None]
-        b = np.array([con.rhs for con in cons]) * sign
-        eq = np.array([con.sense == EQ for con in cons], dtype=bool)
-        from_rows = LinearProgram(c, cons, lo, hi)
-        from_arrays = LinearProgram.from_arrays(c, A, b, lo, hi, eq=eq)
-        for x, y in zip((from_rows.A, from_rows.b, from_rows.eq), (from_arrays.A, from_arrays.b, from_arrays.eq)):
-            assert np.array_equal(x, y)
-            assert not x.flags.writeable
-        sol_rows, sol_arrays = solve_lp(from_rows), solve_lp(from_arrays)
-        assert sol_rows.status == sol_arrays.status == Status.OPTIMAL
-        assert np.array_equal(sol_rows.x, sol_arrays.x) and sol_rows.objective == sol_arrays.objective
 
 
 def test_lp_from_arrays_validation():
     c, lo, hi = np.ones(2), np.zeros(2), np.ones(2)
     A, b = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 2.0])
-    assert not LinearProgram.from_arrays(c, A, b, lo, hi).eq.any()  # default: no equality rows
-    for bad_A, bad_b, bad_eq in [
-        (np.array([[1.0, np.nan], [3.0, 4.0]]), b, None),
-        (A, np.array([1.0, np.inf]), None),
-        (A[:, :1], b, None),
-        (A, b[:1], None),
-        (A, b, np.zeros(3, dtype=bool)),
-        (A[0], b[:1], None),
+    lp = LinearProgram(c, A, b, lo, hi)
+    assert np.array_equal(lp.A, A) and np.array_equal(lp.b, b)
+    assert not (lp.A.flags.writeable or lp.b.flags.writeable)
+    for bad_A, bad_b in [
+        (np.array([[1.0, np.nan], [3.0, 4.0]]), b),
+        (A, np.array([1.0, np.inf])),
+        (A[:, :1], b),
+        (A, b[:1]),
+        (A[0], b[:1]),
+        (np.ones((1, 3)), [1.0]),
+        (np.zeros((0, 3)), np.zeros(0)),  # no rows, but still the wrong width
+        (np.zeros(0), np.zeros(0)),
     ]:
         with pytest.raises(ValueError):
-            LinearProgram.from_arrays(c, bad_A, bad_b, lo, hi, eq=bad_eq)
-    with pytest.raises(ValueError):
-        LinearProgram(c, (Constraint(np.ones(3), LE, 1.0),), lo, hi)
+            LinearProgram(c, bad_A, bad_b, lo, hi)
 
 
 def test_lp_constraints_view_round_trips():
     rng = np.random.default_rng(12)
     cons, lo, hi = _random_rows(rng, 4, 12)
-    lp = LinearProgram(rng.normal(size=4), cons, lo, hi)
-    again = LinearProgram(lp.objective, lp.constraints, lo, hi)
-    for x, y in zip((lp.A, lp.b, lp.eq), (again.A, again.b, again.eq)):
+    lp = LinearProgram(rng.normal(size=4), *stack_rows(cons, 4), lo, hi)
+    again = LinearProgram(lp.objective, *stack_rows(lp.constraints, 4), lo, hi)
+    for x, y in zip((lp.A, lp.b), (again.A, again.b)):
         assert np.array_equal(x, y)
     assert lp.constraints is lp.with_bounds(lo, hi).constraints
-    # Rows come back in order; a >= row as the <= row it is stored as.
-    for given, view in zip(cons, lp.constraints):
-        sign = -1.0 if given.sense == GE else 1.0
-        assert view.sense == (EQ if given.sense == EQ else LE)
-        assert np.array_equal(view.coeffs, sign * given.coeffs) and view.rhs == sign * given.rhs
+    # Rows come back in order, every one a <= row of A x <= b.
+    assert len(lp.constraints) == lp.b.size > len(cons)
+    for view, a, rhs in zip(lp.constraints, lp.A, lp.b):
+        assert view.sense == LE
+        assert np.array_equal(view.coeffs, a) and view.rhs == rhs
