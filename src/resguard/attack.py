@@ -34,6 +34,11 @@ class Direction(str, Enum):
     MINIMIZE = "minimize"
     MAXIMIZE = "maximize"
 
+    @property
+    def sign(self) -> float:
+        """+1.0 to minimize, -1.0 to maximize: ``sign * value`` is minimized either way."""
+        return 1.0 if self is Direction.MINIMIZE else -1.0
+
 
 @dataclass(frozen=True)
 class AttackInstance:
@@ -87,6 +92,7 @@ class AttackInstance:
         object.__setattr__(self, "critical", critical)
         object.__setattr__(self, "attackable", attackable)
         object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "direction", Direction(self.direction))
         object.__setattr__(self, "box_lo", box_lo)
         object.__setattr__(self, "box_hi", box_hi)
         lo = np.maximum(-eta, box_lo - y)
@@ -320,7 +326,7 @@ def build_attack_milp(
     lower[d + att[forced]] = 1.0
 
     objective = np.zeros(n)
-    objective[pos[target]] = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
+    objective[pos[target]] = inst.direction.sign
     lp = LinearProgram(objective, A, rhs, lower, upper)
     N = n + A.shape[0]
     basic = np.arange(n, N)
@@ -367,10 +373,6 @@ def _result(
     )
 
 
-def _better(direction: Direction, a: float, b: float) -> bool:
-    return a < b if direction == Direction.MINIMIZE else a > b
-
-
 def attack_linear(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstance) -> AttackResult:
     """Exact attack on an affine bank: solve the MILP for every critical
     target and keep the best objective in the chosen direction.  Each
@@ -382,6 +384,7 @@ def attack_linear(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstanc
     ``NUMERICAL`` (its incumbent, if any, still competes).
     """
     _require_affine(bank)
+    sign = inst.direction.sign
     best: AttackResult | None = None
     total_nodes = 0
     hit_limit = numerical = False
@@ -400,10 +403,9 @@ def attack_linear(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstanc
         result = _result(bank, tau, inst, target, _delta(inst, sol.x), 0, "optimal")
         if not result.feasible:
             numerical = True
-        elif best is None or _better(inst.direction, result.objective, best.objective):
+        elif best is None or sign * result.objective < sign * best.objective:
             best = result
     if best is None:
-        sign = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
         target = min(inst.critical, key=lambda s: sign * inst.y[s])
         status = "numerical" if numerical else "iteration_limit" if hit_limit else "infeasible"
         return _result(bank, tau, inst, target, np.zeros_like(inst.y), total_nodes, status)
@@ -452,7 +454,7 @@ def _probe_seeds(
     matrix = np.vstack(blocks)
     feasible = matrix[stealth_margin(bank, tau, matrix) <= _ACCEPT_TOL]
 
-    sign = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
+    sign = inst.direction.sign
     probes = {}
     for target in inst.critical:
         seeds: list[np.ndarray] = []
@@ -499,6 +501,7 @@ def attack_nn(
     A target whose descents find no stealthy point gives the ``clean_alarm``
     no-op, which is returned only when no target found one.
     """
+    sign = inst.direction.sign
 
     def descend(target: int, seed: np.ndarray, warm: Basis | None) -> tuple[np.ndarray, int, Basis | None]:
         current = seed.copy()
@@ -522,7 +525,7 @@ def attack_nn(
                 continue
             cand = inst.y + _clean(inst, _delta(inst, sol.x))
             cand_obj = float(cand[target])
-            improvement = cur_obj - cand_obj if inst.direction == Direction.MINIMIZE else cand_obj - cur_obj
+            improvement = sign * (cur_obj - cand_obj)
             if improvement < 1e-9 and max(backoff.values()) <= 1e-9:
                 # Converged: until the centre moves, later regions only
                 # shrink (smaller eps, tighter tau_eff), so none can improve.
@@ -554,9 +557,7 @@ def attack_nn(
             point, iters, warm = descend(target, seed, warm)
             total_iters += iters
             if stealth_margin(bank, tau, point) <= STEALTH_TOL:
-                if final_point is None or _better(
-                    inst.direction, float(point[target]), float(final_point[target])
-                ):
+                if final_point is None or sign * point[target] < sign * final_point[target]:
                     final_point = point
         status = "optimal"
         if final_point is None:
@@ -566,7 +567,7 @@ def attack_nn(
         final = _result(bank, tau, inst, target, final_point - inst.y, total_iters, status)
         # A stealthy attack on any target beats the no-op, whatever the objectives.
         if best is None or (best.solver_status, status) == ("clean_alarm", "optimal") or (
-            best.solver_status == status and _better(inst.direction, final.objective, best.objective)
+            best.solver_status == status and sign * final.objective < sign * best.objective
         ):
             best = final
     assert best is not None  # critical is nonempty by construction

@@ -71,46 +71,49 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+_JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"}
 
 
-def _json_type(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    return {str: "string", list: "array", dict: "object"}[type(value)]
+def _typed(default, value, name: str):
+    """``value`` typed by its ``default``, or a ``ConfigError`` naming it.
 
-
-def _check_types(default, value, name: str) -> None:
-    """Raise ``ConfigError`` unless ``value`` has the JSON type of its
-    default: a ``null`` default also takes a number, list elements match the
-    default's elements, and keys without a default are not checked."""
-    allowed = {_json_type(default)} | ({"number"} if default is None else set())
-    if _json_type(value) not in allowed:
-        raise ConfigError(f"{name} must be {' or '.join(sorted(allowed))}, not {_json_type(value)}")
-    if isinstance(default, dict):
-        for key, item in value.items():
-            if key in default:
-                _check_types(default[key], item, f"{name}.{key}" if name else key)
-    elif isinstance(default, list):
-        for i, item in enumerate(value):
-            _check_types(default[0], item, f"{name}[{i}]")
+    An object is merged over its default key by key, and keys without a
+    default pass unchanged.  List elements follow the default's first
+    element.  An integer default takes a number with no fractional part and
+    gives an ``int``; a float or ``null`` default takes any number and gives
+    a ``float``, and ``null`` stays ``null``.  A boolean, string, object or
+    array default takes only its own JSON type.
+    """
+    kind = _JSON_TYPES.get(type(value), "null")
+    if isinstance(default, (bool, str, list, dict)):
+        if kind != _JSON_TYPES[type(default)]:
+            raise ConfigError(f"{name} must be {_JSON_TYPES[type(default)]}, not {kind}")
+        if isinstance(default, dict):
+            merged = dict(default)
+            for key, item in value.items():
+                merged[key] = _typed(default[key], item, f"{name}.{key}" if name else key) if key in default else item
+            return merged
+        if isinstance(default, list):
+            return [_typed(default[0], item, f"{name}[{i}]") for i, item in enumerate(value)]
+        return value
+    if default is None and value is None:
+        return None
+    if kind != "number":
+        raise ConfigError(f"{name} must be {'null or ' if default is None else ''}number, not {kind}")
+    if not isinstance(default, int):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a float")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 def load_config(path: str | None) -> dict:
     """The defaults merged with the config file at ``path``, as a fresh copy
-    the caller may change.  Each value in the file must have the JSON type
-    of its default."""
+    the caller may change, with every value typed by its default (see
+    ``_typed``): the stages read them as loaded."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -125,8 +128,7 @@ def load_config(path: str | None) -> dict:
         version = user.get("version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {version!r}")
-        _check_types(DEFAULT_CONFIG, user, "")
-        cfg = _merge(cfg, user)
+        cfg = _typed(cfg, user, "")
     return cfg
 
 
@@ -170,6 +172,8 @@ def _plant_config(cfg: dict) -> plant_mod.PlantConfig:
 def _load_dataset(cfg: dict, out: Path) -> plant_mod.Dataset:
     spec = cfg["plant"]
     if "csv" in spec:
+        if not all(isinstance(spec.get(key, ""), str) for key in ("csv", "roles")):
+            raise ConfigError("plant.csv and plant.roles must be strings")
         csv_path = Path(spec["csv"])
         roles_path = Path(spec.get("roles", csv_path.with_suffix(".roles.json")))
     else:
@@ -182,8 +186,7 @@ def cmd_simulate(cfg: dict) -> int:
     out = _out_dir(cfg)
     (out / "data").mkdir(parents=True, exist_ok=True)
     pconf = _plant_config(cfg)
-    steps = int(cfg["plant"]["steps"])
-    data = plant_mod.simulate(pconf, steps)
+    data = plant_mod.simulate(pconf, cfg["plant"]["steps"])
     plant_mod.save_csv(data, out / "data" / "clean.csv", out / "data" / "roles.json")
     print(f"simulate: wrote {data.n_rows} rows x {data.n_columns} columns to {out / 'data'}")
     return EXIT_OK
@@ -192,15 +195,15 @@ def cmd_simulate(cfg: dict) -> int:
 def _train_config(cfg: dict) -> models_mod.TrainConfig:
     t = cfg["train"]
     return models_mod.TrainConfig(
-        epochs=int(t["epochs"]),
-        learning_rate=float(t["learning_rate"]),
+        epochs=t["epochs"],
+        learning_rate=t["learning_rate"],
         hidden_layers=tuple(t["hidden_layers"]),
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
     )
 
 
 def _split(cfg: dict, data: plant_mod.Dataset):
-    return plant_mod.split_sequential(data, float(cfg["train"]["train_fraction"]))
+    return plant_mod.split_sequential(data, cfg["train"]["train_fraction"])
 
 
 def cmd_train(cfg: dict) -> int:
@@ -256,7 +259,7 @@ def cmd_calibrate(cfg: dict) -> int:
     train, _ = _split(cfg, data)
     bank = _load_bank(cfg, out)
     curves = detector_mod.fp_curve(bank, train)
-    period = float(cfg["calibration"]["target_period_steps"])
+    period = cfg["calibration"]["target_period_steps"]
     tau = detector_mod.calibrate_baseline(curves, period, len(bank.detector_set))
     thresholds_dir = out / "thresholds"
     thresholds_dir.mkdir(parents=True, exist_ok=True)
@@ -280,19 +283,16 @@ def _attack_setup(cfg: dict, out: Path):
     bank = _load_bank(cfg, out)
     tau = detector_mod.load_thresholds(_require(out / "thresholds" / "baseline.json", "calibrate"))
     aspec = cfg["attack"]
-    eta = aspec["eta"]
-    eta_value = math.inf if eta is None else float(eta)
-    direction = attack_mod.Direction(aspec["direction"])
     template = attack_mod.instance_from_dataset(
         train,
         test.values[0],
-        budget=int(aspec["budget"]),
-        eta=eta_value,
-        direction=direction,
+        budget=aspec["budget"],
+        eta=math.inf if aspec["eta"] is None else aspec["eta"],
+        direction=attack_mod.Direction(aspec["direction"]),
     )
     alg1 = None
     if not bank.is_affine():
-        alg1 = attack_mod.default_alg1_config(train, n_max=int(aspec["n_max"]))
+        alg1 = attack_mod.default_alg1_config(train, n_max=aspec["n_max"])
     return train, test, bank, tau, template, alg1
 
 
@@ -320,9 +320,9 @@ def cmd_attack(cfg: dict) -> int:
     # Budget sweep on the full critical set.
     sweep = []
     for b in aspec["budgets"]:
-        inst = replace(template, budget=int(b))
+        inst = replace(template, budget=b)
         result = attack_mod.certify(attack_mod.run_attack(bank, tau, inst, alg1))
-        sweep.append((int(b), bank.name_of(result.target), result.objective, result.feasible))
+        sweep.append((b, bank.name_of(result.target), result.objective, result.feasible))
     _write_csv(
         attack_dir / "budget_sweep.csv",
         ["budget", "target", "objective", "feasible"],
@@ -330,7 +330,7 @@ def cmd_attack(cfg: dict) -> int:
     )
 
     # Per-timestep attacks over the leading test rows.
-    n_rows = min(int(aspec["rows"]), test.n_rows)
+    n_rows = min(aspec["rows"], test.n_rows)
     trajectory = []
     for t in range(n_rows):
         inst = template.at_row(test.values[t])
@@ -341,7 +341,7 @@ def cmd_attack(cfg: dict) -> int:
     _write_json(
         attack_dir / "attack_report.json",
         {
-            "budget": int(aspec["budget"]),
+            "budget": aspec["budget"],
             "direction": template.direction.value,
             "per_target": report_entries,
             "budget_sweep": [
@@ -361,12 +361,7 @@ def cmd_defend(cfg: dict) -> int:
     eps = dspec["epsilon"]
     if eps is None:
         eps = 0.1 * float(np.mean([tau.tau[s] for s in bank.detector_set])) or 0.05
-    dconf = defense_mod.DefenseConfig(
-        gamma=float(dspec["gamma"]),
-        epsilon=float(eps),
-        n_max=int(dspec["n_max"]),
-        horizon=int(dspec["horizon"]),
-    )
+    dconf = defense_mod.DefenseConfig(gamma=dspec["gamma"], epsilon=eps, n_max=dspec["n_max"], horizon=dspec["horizon"])
     outcome = defense_mod.resilient_thresholds(bank, tau, curves, test, template, dconf, alg1)
 
     defense_dir = out / "defense"

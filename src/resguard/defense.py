@@ -3,10 +3,10 @@
 The defender moves first by fixing thresholds; the attacker best-responds
 with a stealthy attack per timestep.  ``resilient_thresholds`` walks the
 threshold vector downhill on worst-case impact: lower the thresholds of the
-sensors the attack hurts most, then raise the least-impacted sensors'
-thresholds just enough to pay back the false alarms added, and only accept
-candidates that keep the clean-window false-alarm count within ``gamma`` of
-the baseline.
+sensors the attack hurts most, then raise the least-impacted detectors'
+thresholds (those on untargeted sensors first) just enough to pay back the
+false alarms added, and only accept candidates that keep the clean-window
+false-alarm count within ``gamma`` of the baseline.
 
 Every attack it scores must pass ``attack.certify``: an attack the solver
 cannot back up raises ``SolverLimitError`` or ``NumericalError`` rather
@@ -135,11 +135,12 @@ def resilient_thresholds(
     impact does not exceed the previous one and its clean-window false
     alarms stay within ``gamma`` of the baseline; otherwise the step size is
     halved.  The next candidate lowers thresholds on the worst-hit sensors
-    and raises the least-hit ones through their empirical curves to pay
-    back exactly the alarms the lowering added.  Returns the best strictly
-    improving accepted thresholds, or the baseline when none improved
-    (guaranteeing the returned worst impact and false-alarm count never
-    exceed the baseline's).
+    and raises the other detectors' (untargeted sensors first, then the
+    least-hit) through their empirical curves to pay back exactly the
+    alarms the lowering added.  Returns the best strictly improving
+    accepted thresholds, or the baseline when none improved (guaranteeing
+    the returned worst impact and false-alarm count never exceed the
+    baseline's).
     """
     horizon = _trajectory_values(trajectory)[: cfg.horizon]
     missing = [s for s in bank.detector_set if s not in curves]
@@ -157,16 +158,13 @@ def resilient_thresholds(
         lowered = tau_from.with_values(updates)
         delta_fp = _fa_from_curves(curves, lowered) - _fa_from_curves(curves, tau_from)
         # Pay the added alarms back by raising thresholds of the least-hit
-        # sensors.  Assignment is greedy in impact order because a sensor can
-        # only surrender the clean alarms it still has; when the least-hit
-        # sensor's stock covers everything this reduces to raising it alone.
+        # detectors, those on sensors no attack targets (no impact score)
+        # first.  Assignment is greedy in that order because a detector can
+        # only surrender the clean alarms it still has; when the first
+        # payer's stock covers everything this reduces to raising it alone.
         payers = sorted(
-            (
-                s
-                for s in impacts
-                if s not in a_star and s in curves and s in tau_from.tau
-            ),
-            key=lambda s: (impacts[s], s),
+            (s for s in curves if s not in a_star and s in tau_from.tau),
+            key=lambda s: (s in impacts, impacts.get(s, 0.0), s),
         )
         deficit = float(delta_fp)
         for s in payers:

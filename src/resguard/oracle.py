@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .attack import AttackInstance, Direction
+from .attack import AttackInstance
 from .detector import PredictorBank, ThresholdConfig
 from .lp_milp import LinearProgram, Status, solve_lp
 from .models import LinearModel, predict_batch
@@ -235,7 +235,7 @@ def _subset_lp(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstance, 
         rhs[2 * k], rhs[2 * k + 1] = tau.tau[s] + const, tau.tau[s] - const
 
     objective = np.zeros(d)
-    objective[pos[target]] = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
+    objective[pos[target]] = inst.direction.sign
     return LinearProgram(objective, A, rhs, lower, upper)
 
 
@@ -257,7 +257,7 @@ def oracle_attack_enumerate(
         raise ValueError(f"too many attackable sensors ({len(attackable)}) to enumerate")
     if target not in inst.critical:
         raise ValueError(f"target {target} is not a critical sensor")
-    sign = 1.0 if inst.direction == Direction.MINIMIZE else -1.0
+    sign = inst.direction.sign
     best = None
     for size in range(inst.budget + 1):
         for support in itertools.combinations(attackable, size):
@@ -321,4 +321,5 @@ def oracle_attack_grid(
     values = rows[feasible, target]
     if values.size == 0:
         return None
-    return float(values.min() if inst.direction == Direction.MINIMIZE else values.max())
+    sign = inst.direction.sign
+    return float(sign * np.min(sign * values))

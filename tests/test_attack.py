@@ -102,6 +102,8 @@ def test_attack_instance_validation():
         AttackInstance(y=np.zeros(2), sensor_columns=(0,), critical=(1,), budget=0)
     with pytest.raises(ValueError):
         AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0,), budget=1, eta=-1.0)
+    with pytest.raises(ValueError):
+        AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0,), budget=1, direction="sideways")
 
 
 def test_attack_linear_eta_bound_only():
@@ -198,6 +200,9 @@ def test_attack_maximize_direction():
     )
     result = attack_linear(bank, tau, inst)
     assert result.objective == pytest.approx(1.0, abs=1e-7)
+    # A plain string names the same direction.
+    assert replace(inst, direction="maximize").direction is Direction.MAXIMIZE
+    assert (Direction.MINIMIZE.sign, Direction.MAXIMIZE.sign) == (1.0, -1.0)
 
 
 def test_trust_region_limits_step():

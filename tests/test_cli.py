@@ -2,8 +2,10 @@ import copy
 import csv
 import json
 import math
+import re
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +125,13 @@ def test_config_error_exit_codes(tmp_path):
         ("defense", {"horizon": None}),
         ("train", {"hidden_layers": 16}),
         ("plant", {"steps": None}),
+        ("seed", 1.5),
+        ("plant", {"steps": 200.7}),
+        ("attack", {"budget": 1.5}),
+        ("attack", {"budgets": [1, 2.5]}),
+        ("attack", {"rows": 2.5}),
+        ("defense", {"horizon": 1.5}),
+        ("train", {"hidden_layers": [4.5]}),
     ],
 )
 def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, section, value):
@@ -134,15 +143,60 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, section, valu
 
 
 def test_config_types_follow_the_defaults(tmp_path):
-    """``null`` defaults also take numbers, and keys without a default are
-    not checked; a list element must match the default's elements."""
+    """An integer default takes an integral number as an ``int``; a float or
+    ``null`` default takes any number as a ``float``; keys without a default
+    are not checked; a list element must match the default's elements."""
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"attack": {"eta": 0.5}, "defense": {"epsilon": 1}, "plant": {"overrides": {"noise_std": 0.1}}}))
     cfg = load_config(str(cfg_path))
     assert (cfg["attack"]["eta"], cfg["defense"]["epsilon"]) == (0.5, 1)
-    cfg_path.write_text(json.dumps({"attack": {"budgets": [1, True]}}))
-    with pytest.raises(ValueError, match=r"attack\.budgets\[1\]"):
+    config = {"defense": {"gamma": 0, "epsilon": 1}, "calibration": {"target_period_steps": 100}}
+    cfg_path.write_text(json.dumps(config | {"attack": {"budget": 2.0}}))
+    cfg = load_config(str(cfg_path))
+    typed = (cfg["defense"]["gamma"], cfg["defense"]["epsilon"], cfg["calibration"]["target_period_steps"])
+    assert typed == (0.0, 1.0, 100.0) and all(type(v) is float for v in typed)
+    assert cfg["attack"]["budget"] == 2 and type(cfg["attack"]["budget"]) is int
+    for budgets, message in (([1, True], "number, not boolean"), ([1, 2.5], "an integer, not 2.5")):
+        cfg_path.write_text(json.dumps({"attack": {"budgets": budgets}}))
+        with pytest.raises(ValueError, match=re.escape(f"attack.budgets[1] must be {message}")):
+            load_config(str(cfg_path))
+    cfg_path.write_text('{"defense": {"gamma": 1' + "0" * 400 + "}}")
+    with pytest.raises(ValueError, match=r"defense\.gamma is too large"):
         load_config(str(cfg_path))
+
+
+def _assert_typed_by_defaults(default, value, name=""):
+    if isinstance(default, dict):
+        for key, item in value.items():
+            if key in default:
+                _assert_typed_by_defaults(default[key], item, f"{name}.{key}")
+    elif isinstance(default, list):
+        for item in value:
+            _assert_typed_by_defaults(default[0], item, name)
+    elif default is None or type(default) is float:
+        assert value is None or type(value) is float, name
+    else:
+        assert type(value) is type(default), name
+
+
+def test_readme_example_config_loads_typed(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Example config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(example)
+    cfg = load_config(str(cfg_path))
+    _assert_typed_by_defaults(DEFAULT_CONFIG, cfg)
+    assert cfg["seed"] == 7 and cfg["attack"]["budgets"] == [0, 1, 2, 3, 4, 5]
+    assert (cfg["attack"]["eta"], cfg["defense"]["epsilon"]) == (None, 0.1)
+
+
+@pytest.mark.parametrize("plant_spec", [{"csv": 5}, {"csv": "clean.csv", "roles": ["roles.json"]}])
+def test_non_string_data_paths_are_a_config_error(tmp_path, capsys, plant_spec):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"version": 1, "output_dir": str(tmp_path / "run"), "plant": plant_spec}))
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "plant.csv and plant.roles must be strings" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "models").exists()
 
 
 def test_cli_overrides(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _helpers import constant_bank, random_linear_setup
-from resguard.attack import AttackInstance
+from resguard.attack import AttackInstance, instance_from_dataset
 from resguard.defense import (
     DefenseConfig,
     ImpactReport,
@@ -18,7 +18,7 @@ from resguard.detector import (
     train_bank,
 )
 from resguard.oracle import oracle_attack_enumerate
-from resguard.plant import Column, Dataset, Role, desk_config, simulate
+from resguard.plant import Column, Dataset, Role, desk_config, simulate, split_sequential
 
 
 def _rows_dataset(rows):
@@ -164,8 +164,6 @@ def test_resilient_guarantees_on_simulated_plant():
     bank = train_bank(data, family="linear")
     curves = fp_curve(bank, data)
     tau = calibrate_baseline(curves, target_period_steps=60.0, n_detectors=3)
-    from resguard.attack import instance_from_dataset
-
     inst = instance_from_dataset(data, data.n_rows - 1, budget=2)
     cfg = DefenseConfig(gamma=0.0, epsilon=0.15, n_max=4, horizon=3)
     outcome = resilient_thresholds(
@@ -174,6 +172,25 @@ def test_resilient_guarantees_on_simulated_plant():
     assert outcome.final_fa <= outcome.baseline_fa + cfg.gamma
     assert outcome.final_worst <= outcome.baseline_worst + 1e-9
     assert total_false_alarms(bank, outcome.thresholds, data) <= outcome.baseline_fa
+
+
+def test_detectors_on_untargeted_sensors_pay_back_false_alarms():
+    """On an all-sensor bank only the critical sensors have an impact score;
+    the other six detectors hold the clean alarms that can pay for lowering
+    the worst-hit threshold, so the search must be able to spend them."""
+    data = simulate(desk_config(seed=7), 1200)
+    train, test = split_sequential(data, 0.8)
+    bank = train_bank(train, detector_sensors=train.sensor_columns())
+    curves = fp_curve(bank, train)
+    tau = calibrate_baseline(curves, 100, 8)
+    inst = instance_from_dataset(train, test.values[0], budget=2)
+    eps = 0.1 * float(np.mean([tau.tau[s] for s in bank.detector_set]))
+    cfg = DefenseConfig(gamma=0.0, epsilon=eps, n_max=8, horizon=5)
+    outcome = resilient_thresholds(bank, tau, curves, test, inst, cfg)
+    assert outcome.baseline_worst == pytest.approx(1.1939, abs=1e-4)
+    assert outcome.improved
+    assert outcome.final_worst == pytest.approx(0.9940, abs=1e-4)
+    assert outcome.final_fa <= outcome.baseline_fa == 8
 
 
 def test_defense_config_validation():

@@ -92,6 +92,20 @@ def test_nonlinearity_is_coerced_and_checked_at_construction():
         PlantConfig(n_sensors=2, nonlinearity="bogus")
 
 
+def test_quadratic_readout():
+    """A quadratic channel reads ``sp + 0.5 * amp * (beta * z)**2`` (amp 2,
+    beta 1.5), where ``z`` is the other sensors' summed offset from their
+    setpoints over sqrt(d - 1); channel 0 carries no noise here."""
+    noise = np.full(8, 0.4)
+    noise[0] = 0.0
+    cfg = desk_config(seed=3, nonlinearity="quadratic", nonlinear_channels=[0], noise_std=noise)
+    data = simulate(cfg, 50)
+    sensors = data.values[:, :8]
+    z = (sensors[:, 1:] - cfg.setpoints[1:]).sum(axis=1) / np.sqrt(7)
+    assert np.allclose(sensors[:, 0], cfg.setpoints[0] + 0.5 * 2.0 * (1.5 * z) ** 2, rtol=1e-12, atol=1e-12)
+    assert np.ptp(sensors[:, 0]) > 1.0  # the readout moves
+
+
 def test_desk_and_paper_templates():
     desk = desk_config()
     assert desk.n_sensors == 8 and desk.n_controls == 2
