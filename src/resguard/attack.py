@@ -15,8 +15,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -180,6 +181,10 @@ class AttackResult:
     already alarms: ``solver_status="infeasible"`` when the exact MILP proves
     that no stealthy attack exists, ``"clean_alarm"`` when the iterative
     attack found none.
+
+    ``basis`` is the root basis of the last MILP the exact attack solved,
+    which can start a related attack (see ``attack_linear``); it is ``None``
+    from the iterative attack, and it is neither compared nor reported.
     """
 
     y_tilde: np.ndarray
@@ -190,6 +195,7 @@ class AttackResult:
     feasible: bool
     iterations: int
     solver_status: str = "optimal"
+    basis: Basis | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_attacked(self) -> int:
@@ -373,10 +379,19 @@ def _result(
     )
 
 
-def attack_linear(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstance) -> AttackResult:
+def attack_linear(
+    bank: PredictorBank,
+    tau: ThresholdConfig,
+    inst: AttackInstance,
+    start: Basis | None = None,
+) -> AttackResult:
     """Exact attack on an affine bank: solve the MILP for every critical
     target and keep the best objective in the chosen direction.  Each
-    target's MILP starts from the previous one's root basis.
+    target's MILP starts from the previous one's root basis, and the first
+    from ``start`` when given, else from the no-op vertex.  ``start`` may be
+    the ``basis`` of any attack on a bank with the same detectors and
+    sensors: the same MILP at other thresholds, budget or row has the same
+    shape.  The result's ``basis`` continues the chain.
 
     A candidate whose attack fails the stealth certificate is a solver
     fault, not an attack: it is dropped and the result reports
@@ -388,12 +403,11 @@ def attack_linear(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstanc
     best: AttackResult | None = None
     total_nodes = 0
     hit_limit = numerical = False
-    warm: Basis | None = None
+    warm = start
     for target in inst.critical:
-        prob = build_attack_milp(bank, tau, inst, target)
         # Targets differ only in the objective, so the previous target's
         # root vertex is primal feasible here.
-        sol = solve_milp(prob if warm is None else replace(prob, start=warm))
+        sol = solve_milp(build_attack_milp(bank, tau, inst, target), start=warm)
         warm = sol.basis
         total_nodes += sol.nodes_explored
         hit_limit |= sol.status == Status.ITERATION_LIMIT
@@ -406,11 +420,12 @@ def attack_linear(bank: PredictorBank, tau: ThresholdConfig, inst: AttackInstanc
         elif best is None or sign * result.objective < sign * best.objective:
             best = result
     if best is None:
-        target = min(inst.critical, key=lambda s: sign * inst.y[s])
         status = "numerical" if numerical else "iteration_limit" if hit_limit else "infeasible"
-        return _result(bank, tau, inst, target, np.zeros_like(inst.y), total_nodes, status)
-    status = "numerical" if numerical else "iteration_limit" if hit_limit else "optimal"
-    return replace(best, iterations=total_nodes, solver_status=status)
+        target = min(inst.critical, key=lambda s: sign * inst.y[s])
+        best = _result(bank, tau, inst, target, np.zeros_like(inst.y), 0, status)
+    else:
+        status = "numerical" if numerical else "iteration_limit" if hit_limit else "optimal"
+    return replace(best, iterations=total_nodes, solver_status=status, basis=warm)
 
 
 def _probe_seeds(
@@ -473,6 +488,7 @@ def attack_nn(
     tau: ThresholdConfig,
     inst: AttackInstance,
     cfg: Alg1Config,
+    seeds: Sequence[np.ndarray] = (),
 ) -> AttackResult:
     """Iterative attack on a nonlinear bank.
 
@@ -491,7 +507,11 @@ def attack_nn(
     branches of a nonconvex stealth set, the descent restarts from a couple
     of coarse verified-feasible probe points.  Accepted iterates are always
     verified against the true models, so the objective never worsens along
-    a descent.
+    a descent.  ``seeds`` are further points that every target's descents
+    start from after the probes, such as the best point of a smaller
+    budget; each must be an attack this instance allows (within its
+    perturbation bounds and budget), else ``ValueError``.  A stealthy seed
+    bounds each target's answer by the seed's own value.
 
     A target's trust-region MILPs share their rows, columns and objective;
     only the centre, the radius and the tightened thresholds change.  So
@@ -502,6 +522,14 @@ def attack_nn(
     no-op, which is returned only when no target found one.
     """
     sign = inst.direction.sign
+    extra = [np.asarray(point, dtype=float) for point in seeds]
+    dlo, dhi = inst.delta_bounds()
+    for point in extra:
+        if point.shape != inst.y.shape:
+            raise ValueError("a seed point must be a full measurement row")
+        shift = point - inst.y
+        if np.count_nonzero(shift) > inst.budget or np.any(shift < dlo - 1e-9) or np.any(shift > dhi + 1e-9):
+            raise ValueError("a seed point must lie within the perturbation bounds and the budget")
 
     def descend(target: int, seed: np.ndarray, warm: Basis | None) -> tuple[np.ndarray, int, Basis | None]:
         current = seed.copy()
@@ -515,7 +543,7 @@ def attack_nn(
                 {s: max(tau.tau[s] - backoff[s], 0.0) for s in bank.detector_set}
             )
             prob = build_attack_milp(bank, tau_eff, inst, target, trust_radius=eps, center=current)
-            sol = solve_milp(prob if warm is None else replace(prob, start=warm))
+            sol = solve_milp(prob, start=warm)
             if sol.status == Status.OPTIMAL:
                 warm = sol.basis
             if sol.status != Status.OPTIMAL or sol.x is None:
@@ -549,11 +577,10 @@ def attack_nn(
     best: AttackResult | None = None
     probes = _probe_seeds(bank, tau, inst)
     for target in inst.critical:
-        seeds = [inst.y] + probes[target]
         final_point: np.ndarray | None = None
         total_iters = 0
         warm: Basis | None = None
-        for seed in seeds:
+        for seed in [inst.y] + probes[target] + extra:
             point, iters, warm = descend(target, seed, warm)
             total_iters += iters
             if stealth_margin(bank, tau, point) <= STEALTH_TOL:
@@ -579,14 +606,23 @@ def run_attack(
     tau: ThresholdConfig,
     inst: AttackInstance,
     cfg: Alg1Config | None = None,
+    start: Basis | None = None,
+    seeds: Sequence[np.ndarray] = (),
 ) -> AttackResult:
     """Dispatch on the bank family: exact MILP for affine banks, iterative
-    linearization otherwise (``cfg`` required for nonlinear banks)."""
+    linearization otherwise (``cfg`` required for nonlinear banks).
+
+    ``start`` goes to ``attack_linear`` and ``seeds`` to ``attack_nn``; the
+    exact attack needs no seed points and ignores them, and a start basis on
+    a nonlinear bank is a ``ValueError``.
+    """
     if bank.is_affine():
-        return attack_linear(bank, tau, inst)
+        return attack_linear(bank, tau, inst, start)
+    if start is not None:
+        raise ValueError("a start basis needs an affine bank")
     if cfg is None:
         raise ValueError("Alg1Config required for a nonlinear bank")
-    return attack_nn(bank, tau, inst, cfg)
+    return attack_nn(bank, tau, inst, cfg, seeds)
 
 
 def result_to_json(inst: AttackInstance, result: AttackResult, bank: PredictorBank | None = None) -> dict:

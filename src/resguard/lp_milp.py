@@ -15,14 +15,14 @@ is refactorized.
 
 ``solve_milp`` wraps it in branch-and-bound over the binary variables with
 best-bound node selection and most-fractional branching.  The root starts
-from the problem's own starting basis when it has one, else cold.  That
-basis may be any basis of an LP with the same rows and columns: the attack
-MILP's no-op attack, or the root basis of a related MILP solved before it,
-which every solve returns in ``MILPSolution.basis``.  A start that is
-singular for the rows, or whose root ends ``NUMERICAL``, is retried once
-cold.  Each child is warm-started from its parent's final basis, since the
-two differ by one bound; the parent's basis is factored once for both
-children.  A vertex that fails ``check_solution`` is reported as
+from the basis passed to ``solve_milp``, else from the problem's own
+starting basis when it has one, else cold.  That basis may be any basis of
+an LP with the same rows and columns: the attack MILP's no-op attack, or
+the root basis of a related MILP solved before it, which every solve
+returns in ``MILPSolution.basis``.  A start that is singular for the rows,
+or whose root ends ``NUMERICAL``, is retried once cold.  Each child is
+warm-started from its parent's final basis, since the two differ by one
+bound; the parent's basis is factored once for both children.  A vertex that fails ``check_solution`` is reported as
 ``NUMERICAL``, never as ``OPTIMAL``.
 
 Sizes here are a few hundred variables at most, so everything is dense.
@@ -301,28 +301,30 @@ def _most_fractional(x: np.ndarray, binaries: list[int]) -> tuple[int, float]:
     return best, best_frac
 
 
-def _solve_root(problem: MILPProblem) -> tuple[MILPSolution, int]:
+def _solve_root(lp: LinearProgram, start: Basis | None) -> tuple[MILPSolution, int]:
     """The root relaxation and the number of LPs it took.
 
-    It starts from ``problem.start`` when given.  A start basis that is
-    singular for these rows, or whose solve ends ``NUMERICAL``, is given up
-    for one cold solve from the slack basis.
+    It starts from ``start`` when given.  A start basis that is singular
+    for these rows, or whose solve ends ``NUMERICAL``, is given up for one
+    cold solve from the slack basis.
     """
-    if problem.start is None:
-        return solve_lp(problem.lp), 1
+    if start is None:
+        return solve_lp(lp), 1
     try:
-        root = solve_lp(problem.lp, basis=problem.start)
+        root = solve_lp(lp, basis=start)
         if root.status != Status.NUMERICAL:
             return root, 1
     except np.linalg.LinAlgError:
         pass
-    return solve_lp(problem.lp), 2
+    return solve_lp(lp), 2
 
 
-def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolution:
+def solve_milp(problem: MILPProblem, node_cap: int | None = None, start: Basis | None = None) -> MILPSolution:
     """Branch-and-bound over the binaries, exact to the LP layer's tolerance.
 
-    The root relaxation starts from ``problem.start`` when given, else cold.
+    The root relaxation starts from ``start``, which defaults to
+    ``problem.start``; with neither it starts cold.  Passing the start here
+    rather than in a copy of ``problem`` skips re-validating the problem.
     The start may be any basis of an LP with the same rows and columns, such
     as the ``basis`` of an earlier solve; one that is singular here or ends
     ``NUMERICAL`` is retried once cold, and the retry counts as a node.
@@ -335,7 +337,7 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None) -> MILPSolutio
     """
     lp = problem.lp
     binaries = sorted(problem.binary_vars)
-    root, nodes_explored = _solve_root(problem)
+    root, nodes_explored = _solve_root(lp, problem.start if start is None else start)
     if not binaries:
         root.nodes_explored = nodes_explored
         return root

@@ -107,7 +107,7 @@ def assert_result_invariants(result, inst):
     assert np.allclose(result.y_tilde, inst.y + result.delta)
 
 
-def stealth_breaking_solve(problem):
+def stealth_breaking_solve(problem, start=None):
     """Stand-in for ``solve_milp`` on an attack MILP: claims OPTIMAL for a
     point that pushes the target to the end of its perturbation box, far
     outside its detector's threshold."""

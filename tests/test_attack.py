@@ -388,9 +388,9 @@ def test_attack_linear_drops_candidate_failing_certificate(monkeypatch):
     tau = ThresholdConfig({0: 1.0, 1: 1.0})
     inst = AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0, 1), budget=1)
 
-    def solve(problem):
+    def solve(problem, start=None):
         # Target 0's candidate breaks stealth; target 1 is solved for real.
-        return stealth_breaking_solve(problem) if problem.lp.objective[0] else solve_milp(problem)
+        return stealth_breaking_solve(problem) if problem.lp.objective[0] else solve_milp(problem, start=start)
 
     monkeypatch.setattr(attack, "solve_milp", solve)
     result = attack_linear(bank, tau, inst)
@@ -423,7 +423,7 @@ def test_attack_linear_without_an_incumbent_at_the_node_cap_says_so(monkeypatch)
     bank = _identity_pair_bank(mutual=True)
     tau = ThresholdConfig({0: 1.0, 1: 1.0})
     inst = AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0, 1), budget=1)
-    monkeypatch.setattr(attack, "solve_milp", lambda problem: MILPSolution(Status.ITERATION_LIMIT, None, None, 7))
+    monkeypatch.setattr(attack, "solve_milp", lambda problem, start=None: MILPSolution(Status.ITERATION_LIMIT, None, None, 7))
     result = attack_linear(bank, tau, inst)
     assert result.solver_status == "iteration_limit"
     assert result.n_attacked == 0 and result.iterations == 14
@@ -667,6 +667,51 @@ def test_attack_linear_over_targets_equals_the_best_single_target():
             assert multi.objective == pytest.approx(best.objective, abs=1e-9 * max(1.0, abs(best.objective))), key
 
 
+def test_attack_linear_from_a_foreign_basis_matches_the_no_op_start():
+    """Desk preset seed 7, test rows 0-2, budgets 1-3: an attack started
+    from another row's and budget's root basis (same MILP shape, other
+    right-hand sides and big-M) gives the objective and target of the attack
+    started at the no-op vertex, and hands on a basis of its own."""
+    data = simulate(desk_config(seed=7), 1200)
+    train, test = split_sequential(data, 0.8)
+    bank = train_bank(train, family="linear")
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
+    cases = [(row, budget) for row in range(3) for budget in (1, 2, 3)]
+    insts = {key: instance_from_dataset(train, test.values[key[0]], budget=key[1]) for key in cases}
+    plain = {key: attack_linear(bank, tau, inst) for key, inst in insts.items()}
+    for i, key in enumerate(cases):
+        donor = plain[cases[(i + 4) % len(cases)]]
+        assert donor.basis is not None
+        warm = attack_linear(bank, tau, insts[key], start=donor.basis)
+        assert warm.solver_status == plain[key].solver_status == "optimal", key
+        assert warm.feasible and warm.target == plain[key].target, key
+        assert warm.objective == pytest.approx(plain[key].objective, abs=1e-9), key
+        assert warm.basis is not None and warm.basis.basic.shape == donor.basis.basic.shape
+        assert_result_invariants(warm, insts[key])
+
+
+def test_start_basis_and_seed_points_go_only_where_they_apply():
+    """A start basis needs the exact attack; a seed point must be an attack
+    the instance allows; the iterative attack hands on no basis."""
+    bank = _identity_pair_bank(mutual=False)
+    tau = ThresholdConfig({0: 1.0})
+    inst = _pair_instance(1)
+    exact = run_attack(bank, tau, inst)
+    again = run_attack(bank, tau, inst, start=exact.basis, seeds=[exact.y_tilde])
+    assert again.objective == exact.objective and np.array_equal(again.delta, exact.delta)
+    nn = NeuralModel(((np.array([[1.0]]), np.array([0.0])),))
+    nn_bank = PredictorBank({0: DetectorEntry(nn, 0, np.array([1]))}, (0,))
+    cfg = Alg1Config(epsilon0=1.0, epsilon_min=1.0 / 2**10, n_max=10)
+    with pytest.raises(ValueError, match="affine"):
+        run_attack(nn_bank, tau, inst, cfg, start=exact.basis)
+    assert run_attack(nn_bank, tau, inst, cfg).basis is None
+    seeded = run_attack(nn_bank, tau, inst, cfg, seeds=[exact.y_tilde])
+    assert seeded.feasible and seeded.objective <= exact.objective + 1e-9
+    for bad in (np.zeros(3), inst.y + np.array([0.5, 0.5]), inst.y + np.array([0.0, 1e6])):
+        with pytest.raises(ValueError, match="seed point"):
+            run_attack(nn_bank, tau, inst, cfg, seeds=[bad])
+
+
 def test_attack_nn_stops_once_the_target_cannot_move(monkeypatch):
     """Desk tanh bank, test row 21, B=1: once the linearized optimum stops
     moving the target, the descent ends instead of halving ``eps`` down to
@@ -678,7 +723,7 @@ def test_attack_nn_stops_once_the_target_cannot_move(monkeypatch):
     tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
     solves = []
     real = attack.solve_milp
-    monkeypatch.setattr(attack, "solve_milp", lambda problem: solves.append(1) or real(problem))
+    monkeypatch.setattr(attack, "solve_milp", lambda problem, start=None: solves.append(1) or real(problem, start=start))
     inst = instance_from_dataset(train, test.values[21], budget=1)
     result = run_attack(bank, tau, inst, default_alg1_config(train))
     assert result.objective == pytest.approx(1.412270879653422, abs=1e-9)
@@ -913,8 +958,8 @@ def test_attack_nn_prefers_a_stealthy_target_to_the_no_op(monkeypatch):
         targets.append(target)
         return real_build(bank, tau, inst, target, **kwargs)
 
-    def solve(problem):
-        return MILPSolution(Status.INFEASIBLE, None, math.inf) if targets[-1] == 0 else real_solve(problem)
+    def solve(problem, start=None):
+        return MILPSolution(Status.INFEASIBLE, None, math.inf) if targets[-1] == 0 else real_solve(problem, start=start)
 
     monkeypatch.setattr(attack, "build_attack_milp", build)
     monkeypatch.setattr(attack, "solve_milp", solve)

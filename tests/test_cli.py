@@ -238,7 +238,7 @@ def test_attack_exits_numeric_on_an_unstealthy_result(pipeline_dir, tmp_path, mo
     run = tmp_path / "run"
     shutil.copytree(out, run)
     real = attack.run_attack
-    monkeypatch.setattr(attack, "run_attack", lambda *args: replace(real(*args), feasible=False))
+    monkeypatch.setattr(attack, "run_attack", lambda *args, **kwargs: replace(real(*args, **kwargs), feasible=False))
     assert main(["attack", "--config", str(cfg_path), "--out", str(run)]) == EXIT_NUMERIC
 
 
@@ -258,11 +258,11 @@ def test_attack_accepts_the_no_op_on_an_alarming_row(pipeline_dir, tmp_path):
     assert sweep[0] == "False"
 
 
-def _node_capped_solve(problem):
+def _node_capped_solve(problem, start=None):
     return MILPSolution(Status.ITERATION_LIMIT, None, math.inf, 1)
 
 
-def _overflowing_solve(problem):
+def _overflowing_solve(problem, start=None):
     raise FloatingPointError("overflow in the simplex")
 
 
@@ -314,3 +314,96 @@ def test_plant_overrides_given_as_plain_json(tmp_path):
     config["plant"]["overrides"] = {"nonlinearity": "bogus"}
     cfg_path.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
+
+
+def test_trajectory_row_0_is_the_sweep_at_the_configured_budget(pipeline_dir, tmp_path, monkeypatch):
+    """The template is posed at test row 0, so trajectory row 0 and the
+    sweep's entry at the configured budget are one attack, solved once."""
+    out, cfg_path = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    calls = []
+    real = attack.run_attack
+    monkeypatch.setattr(attack, "run_attack", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    assert main(["attack", "--config", str(cfg_path), "--out", str(run)]) == EXIT_OK
+    assert len(calls) == 2 + 4 + 4 - 1  # per sensor, sweep, trajectory rows but row 0
+    with open(run / "attack" / "budget_sweep.csv", newline="") as fh:
+        sweep = {int(rec["budget"]): rec for rec in csv.DictReader(fh)}
+    with open(run / "attack" / "trajectory.csv", newline="") as fh:
+        row0 = next(csv.DictReader(fh))
+    assert (row0["target"], row0["objective"]) == (sweep[2]["target"], sweep[2]["objective"])
+    for name in ("budget_sweep.csv", "trajectory.csv"):
+        assert (run / "attack" / name).read_text() == (out / "attack" / name).read_text()
+
+
+def test_defense_scores_each_threshold_vector_once(tmp_path, monkeypatch):
+    """The benchmark's pipeline config at desk seed 10: candidates 1, 3 and 5
+    are one threshold vector, scored once, and the trace keeps the worst
+    impacts, false alarms and decisions that scoring every candidate gave."""
+    from resguard import defense
+
+    config = {
+        "version": 1,
+        "seed": 10,
+        "output_dir": str(tmp_path / "run"),
+        "plant": {"preset": "desk", "steps": 1200},
+        "model_family": "linear",
+        "train": {"train_fraction": 0.8},
+        "calibration": {"target_period_steps": 100.0},
+        "attack": {"budget": 2, "eta": None, "direction": "minimize", "budgets": [0, 1, 2, 3, 4, 5], "rows": 10},
+        "defense": {"gamma": 0.0, "epsilon": None, "n_max": 8, "horizon": 5},
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    for command in ("simulate", "train", "calibrate"):
+        assert main([command, "--config", str(cfg_path)]) == EXIT_OK, command
+    calls = []
+    real = defense.impact
+    monkeypatch.setattr(defense, "impact", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    assert main(["defend", "--config", str(cfg_path)]) == EXIT_OK
+    assert len(calls) == 7
+    with open(tmp_path / "run" / "defense" / "trace.csv", newline="") as fh:
+        trace = list(csv.DictReader(fh))
+    worst = [
+        3.5520021071716945, 3.430825901528425, 3.49141400435006, 3.430825901528425, 3.4611199529392422,
+        3.430825901528425, 3.4459729272338344, 3.4535464400865385, 3.4573331965128906,
+    ]  # fmt: skip
+    assert [float(rec["worst_impact"]) for rec in trace] == pytest.approx(worst, rel=0, abs=1e-12)
+    assert [rec["fa"] for rec in trace] == ["8", "11", "8", "11", "8", "11", "9", "9", "8"]
+    assert [rec["accepted"] for rec in trace] == ["True", "False", "True", "False", "True", "False", "False", "False", "True"]
+    assert {rec["worst_sensor"] for rec in trace} == {"s1"}
+
+
+def test_neural_budget_sweep_never_gets_worse(tmp_path, monkeypatch):
+    """Desk tanh plant, seed 7, neural bank, test row 0: without seeds the
+    sweep read 1.4405, -1.7626, -0.2982, -0.9778 at budgets 1-4.  Seeded
+    with the previous budget's best point it is non-increasing, and every
+    point passes the stealth certificate."""
+    config = {
+        "version": 1,
+        "seed": 7,
+        "output_dir": str(tmp_path / "run"),
+        "plant": {"preset": "desk", "steps": 1200, "overrides": {"nonlinearity": "tanh", "nonlinear_channels": [0]}},
+        "model_family": "neural",
+        "attack": {"budget": 2, "budgets": [1, 2, 3, 4], "rows": 1},
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    for command in ("simulate", "train", "calibrate"):
+        assert main([command, "--config", str(cfg_path)]) == EXIT_OK, command
+    calls = []
+    real = attack.run_attack
+    monkeypatch.setattr(
+        attack, "run_attack", lambda *args, **kwargs: calls.append((args, kwargs, real(*args, **kwargs))) or calls[-1][2]
+    )
+    assert main(["attack", "--config", str(cfg_path)]) == EXIT_OK
+    sweep = calls[2:6]  # after the two per-sensor attacks
+    assert [args[2].budget for args, _, _ in sweep] == [1, 2, 3, 4]
+    objectives = [result.objective for _, _, result in sweep]
+    assert all(b <= a for a, b in zip(objectives, objectives[1:])), objectives
+    assert objectives[2] < -0.2982 and objectives[3] < -0.9778
+    for args, _, result in sweep:
+        bank, tau = args[0], args[1]
+        assert attack.stealth_margin(bank, tau, result.y_tilde) <= attack.STEALTH_TOL
+    with open(tmp_path / "run" / "attack" / "budget_sweep.csv", newline="") as fh:
+        assert [float(rec["objective"]) for rec in csv.DictReader(fh)] == objectives

@@ -193,6 +193,27 @@ def test_detectors_on_untargeted_sensors_pay_back_false_alarms():
     assert outcome.final_fa <= outcome.baseline_fa == 8
 
 
+def test_impact_from_the_previous_thresholds_bases_equals_a_fresh_impact():
+    """Scoring thresholds in turn with one ``starts`` dict, each (sensor,
+    row) attack starting from its basis at the previous thresholds, gives
+    the impacts that scoring each from the no-op vertex gives."""
+    data = simulate(desk_config(seed=7), 1200)
+    train, test = split_sequential(data, 0.8)
+    bank = train_bank(train)
+    tau = calibrate_baseline(fp_curve(bank, train), 100, len(bank.detector_set))
+    inst = instance_from_dataset(train, test.values[0], budget=2)
+    rows = test.values[:3]
+    starts = {}
+    for scale in (1.0, 0.8, 1.1):
+        scaled = tau.with_values({s: scale * v for s, v in tau.tau.items()})
+        chained = impact(bank, scaled, rows, inst, starts=starts)
+        fresh = impact(bank, scaled, rows, inst)
+        assert set(starts) == {(s, i) for s in inst.critical for i in range(3)}
+        for s in inst.critical:
+            assert chained.per_sensor[s] == pytest.approx(fresh.per_sensor[s], abs=1e-9)
+        assert chained.worst[0] == fresh.worst[0]
+
+
 def test_defense_config_validation():
     with pytest.raises(ValueError):
         DefenseConfig(gamma=-1.0)

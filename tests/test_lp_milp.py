@@ -392,3 +392,19 @@ def test_lp_constraints_view_round_trips():
     for view, a, rhs in zip(lp.constraints, lp.A, lp.b):
         assert view.sense == LE
         assert np.array_equal(view.coeffs, a) and view.rhs == rhs
+
+
+def test_start_argument_equals_a_problem_with_that_start():
+    """``solve_milp(problem, start=b)`` solves as a copy of ``problem``
+    whose ``start`` is ``b`` would, and overrides ``problem.start``."""
+    rng = np.random.default_rng(17)
+    for _ in range(6):
+        problem = _random_mixed_binary(rng)
+        start = solve_milp(problem).basis
+        singular = lp_milp.Basis(np.zeros_like(start.basic), start.at_upper)  # would be retried cold
+        via_argument = solve_milp(replace(problem, start=singular), start=start)
+        via_problem = solve_milp(replace(problem, start=start))
+        assert via_argument.status == via_problem.status
+        assert via_argument.objective == via_problem.objective
+        assert via_argument.nodes_explored == via_problem.nodes_explored
+        assert np.array_equal(via_argument.basis.basic, via_problem.basis.basic)
