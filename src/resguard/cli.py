@@ -5,8 +5,8 @@ previous stages from the output directory, and writes its own artifacts as
 JSON/CSV.  Commands are deterministic given the config seed and re-entrant:
 any stage can be rerun from persisted artifacts.
 
-Exit codes: 0 success, 2 config error, 3 missing dependency, 4 solver
-limit, 5 numerical failure.
+Exit codes: 0 success, 2 config error, 3 missing or unreadable upstream
+artifact, 4 solver limit, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 
 
 class DependencyError(RuntimeError):
-    """An upstream artifact required by this command is missing."""
+    """An upstream artifact required by this command is missing or unreadable."""
 
 
 DEFAULT_CONFIG = {
@@ -140,6 +140,17 @@ def _require(path: Path, producer: str) -> Path:
     if not path.exists():
         raise DependencyError(f"missing artifact {path}; run '{producer}' first")
     return path
+
+
+def _read_artifact(path: Path, producer: str, parse=lambda obj: obj):
+    """``parse`` of the JSON artifact at ``path``, which stage ``producer``
+    writes.  A missing file, or content that does not load or parse as
+    that stage writes it, raises a ``DependencyError`` naming both."""
+    _require(path, producer)
+    try:
+        return parse(json.loads(path.read_text()))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DependencyError(f"unreadable artifact {path} ({type(exc).__name__}: {exc}); rerun '{producer}'")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -242,15 +253,17 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _load_bank(cfg: dict, out: Path) -> detector_mod.PredictorBank:
-    manifest = json.loads(_require(out / "models" / "bank.json", "train").read_text())
-    detectors = {}
-    order = []
-    for entry in manifest["detectors"]:
-        model = models_mod.load_model(_require(out / "models" / entry["file"], "train"))
-        idx = int(entry["index"])
-        detectors[idx] = detector_mod.DetectorEntry(model, idx, np.array(entry["features"], dtype=int))
-        order.append(idx)
-    return detector_mod.PredictorBank(detectors, tuple(order), tuple(manifest["columns"]))
+    models_dir = out / "models"
+
+    def from_manifest(manifest: dict) -> detector_mod.PredictorBank:
+        detectors = {}
+        for entry in manifest["detectors"]:
+            model = _read_artifact(models_dir / entry["file"], "train", models_mod.model_from_json)
+            idx = int(entry["index"])
+            detectors[idx] = detector_mod.DetectorEntry(model, idx, np.array(entry["features"], dtype=int))
+        return detector_mod.PredictorBank(detectors, tuple(detectors), tuple(manifest["columns"]))
+
+    return _read_artifact(models_dir / "bank.json", "train", from_manifest)
 
 
 def cmd_calibrate(cfg: dict) -> int:
@@ -281,7 +294,7 @@ def _attack_setup(cfg: dict, out: Path):
     data = _load_dataset(cfg, out)
     train, test = _split(cfg, data)
     bank = _load_bank(cfg, out)
-    tau = detector_mod.load_thresholds(_require(out / "thresholds" / "baseline.json", "calibrate"))
+    tau = _read_artifact(out / "thresholds" / "baseline.json", "calibrate", detector_mod.thresholds_from_json)
     aspec = cfg["attack"]
     template = attack_mod.instance_from_dataset(
         train,
@@ -421,17 +434,16 @@ def cmd_defend(cfg: dict) -> int:
 
 def cmd_report(cfg: dict) -> int:
     out = _out_dir(cfg)
-    report_dir = out / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
     summary: dict = {"output_dir": str(out)}
-
     with open(_require(out / "models" / "mse_table.csv", "train"), newline="") as fh:
         summary["mse_table"] = list(csv.DictReader(fh))
-    summary["baseline_thresholds"] = json.loads(_require(out / "thresholds" / "baseline.json", "calibrate").read_text())
-    summary["attack"] = json.loads(_require(out / "attack" / "attack_report.json", "attack").read_text())
+    summary["baseline_thresholds"] = _read_artifact(out / "thresholds" / "baseline.json", "calibrate")
+    summary["attack"] = _read_artifact(out / "attack" / "attack_report.json", "attack")
     defense_path = out / "defense" / "report.json"
     if defense_path.exists():
-        summary["defense"] = json.loads(defense_path.read_text())
+        summary["defense"] = _read_artifact(defense_path, "defend")
+    report_dir = out / "report"
+    report_dir.mkdir(parents=True, exist_ok=True)
     _write_json(report_dir / "summary.json", summary)
     print(f"report: collated summary at {report_dir / 'summary.json'}")
     return EXIT_OK

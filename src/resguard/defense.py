@@ -33,15 +33,12 @@ class ImpactReport:
     the worst (sensor, impact), ties going to the lowest sensor."""
 
     per_sensor: Mapping[int, float]
-    horizon: int
     worst: tuple[int, float] = field(init=False)
 
     def __post_init__(self):
         per = {int(k): float(v) for k, v in self.per_sensor.items()}
         if not per:
             raise ValueError("impact report needs at least one sensor")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
         worst_sensor = min(per, key=lambda s: (-per[s], s))
         object.__setattr__(self, "per_sensor", per)
         object.__setattr__(self, "worst", (worst_sensor, per[worst_sensor]))
@@ -79,31 +76,27 @@ def impact(
     trajectory,
     inst_template: AttackInstance,
     alg1: Alg1Config | None = None,
-    starts: dict | None = None,
 ) -> ImpactReport:
     """Per-critical-sensor impact: mean |y_tilde_s - y_s| of the optimal
     single-target stealthy attack over the trajectory rows.
 
     ``trajectory`` is a :class:`Dataset` or a plain row matrix.  Each
     attack passes through ``attack.certify``, so one the solver cannot back
-    up raises ``SolverLimitError`` or ``NumericalError``.  ``starts``, when
-    given, maps ``(sensor, row index)`` to the root basis that attack starts
-    from, and each attack's own ``basis`` replaces it: a caller that scores
-    several thresholds over the same rows starts each attack where the
-    previous one at that (sensor, row) ended.
+    up raises ``SolverLimitError`` or ``NumericalError``.  The attacks pose
+    same-shape MILPs, so each starts from the root basis of the one before.
     """
     rows = _trajectory_values(trajectory)
-    starts = {} if starts is None else starts
+    basis = None
     per = {}
     for s in inst_template.critical:
         single = replace(inst_template, critical=(s,))
         deviations = []
-        for i, row in enumerate(rows):
-            result = certify(run_attack(bank, tau, single.at_row(row), alg1, start=starts.get((s, i))))
-            starts[(s, i)] = result.basis
+        for row in rows:
+            result = certify(run_attack(bank, tau, single.at_row(row), alg1, start=basis))
+            basis = result.basis
             deviations.append(abs(result.y_tilde[s] - row[s]))
         per[s] = float(np.mean(deviations))
-    return ImpactReport(per, rows.shape[0])
+    return ImpactReport(per)
 
 
 def total_false_alarms(bank: PredictorBank, tau: ThresholdConfig, clean: Dataset) -> int:
@@ -150,12 +143,8 @@ def resilient_thresholds(
     alarms the lowering added.  Returns the best strictly improving
     accepted thresholds, or the baseline when none improved (guaranteeing
     the returned worst impact and false-alarm count never exceed the
-    baseline's).
-
-    Between candidates each (sensor, row) attack MILP changes only in its
-    detector rows' right-hand sides, so each starts from its root basis at
-    the previous candidate.  A candidate equal to one already scored reuses
-    that impact report instead of solving its attacks again.
+    baseline's).  A candidate equal to one already scored reuses that
+    impact report instead of solving its attacks again.
     """
     horizon = _trajectory_values(trajectory)[: cfg.horizon]
     missing = [s for s in bank.detector_set if s not in curves]
@@ -199,13 +188,12 @@ def resilient_thresholds(
     tau_cand = tau_acc = best_tau = tau_baseline
     worst_prev = best_worst = np.inf
     history = []
-    starts: dict = {}
     scored: dict[tuple, ImpactReport] = {}
     # Iteration 0 scores the baseline, which always fits its own alarm budget.
     for it in range(cfg.n_max + 1):
         key = tuple(sorted(tau_cand.tau.items()))
         if key not in scored:
-            scored[key] = impact(bank, tau_cand, horizon, inst_template, alg1, starts)
+            scored[key] = impact(bank, tau_cand, horizon, inst_template, alg1)
         rep = scored[key]
         worst = rep.worst[1]
         fa_cand = _fa_from_curves(curves, tau_cand)

@@ -283,10 +283,7 @@ def thresholds_to_json(tau: ThresholdConfig, bank: PredictorBank | None = None, 
 
 
 def thresholds_from_json(obj: dict) -> ThresholdConfig:
-    columns = obj.get("columns")
-    if columns:
-        return ThresholdConfig({int(idx): obj["tau"][name] for name, idx in columns.items()})
-    return ThresholdConfig({int(k): v for k, v in obj["tau"].items()})
+    return ThresholdConfig({int(idx): obj["tau"][name] for name, idx in obj["columns"].items()})
 
 
 def save_thresholds(tau: ThresholdConfig, path, bank: PredictorBank | None = None, calibration: dict | None = None) -> None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import stealth_breaking_solve
+from _helpers import highs_milp, stealth_breaking_solve
 from resguard import attack, plant
 from resguard.cli import (
     DEFAULT_CONFIG,
@@ -407,3 +407,126 @@ def test_neural_budget_sweep_never_gets_worse(tmp_path, monkeypatch):
         assert attack.stealth_margin(bank, tau, result.y_tilde) <= attack.STEALTH_TOL
     with open(tmp_path / "run" / "attack" / "budget_sweep.csv", newline="") as fh:
         assert [float(rec["objective"]) for rec in csv.DictReader(fh)] == objectives
+
+
+def _drop(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "rel, corrupt, command, written",
+    [
+        pytest.param("thresholds/baseline.json", '{"tau": {', "attack", "attack", id="truncated-thresholds"),
+        pytest.param("thresholds/baseline.json", {"columns": {"s0": 0}}, "attack", "attack", id="thresholds-without-tau"),
+        pytest.param("thresholds/baseline.json", _drop("columns"), "attack", "attack", id="bare-tau-thresholds"),
+        pytest.param("thresholds/baseline.json", {"tau": {}, "columns": ["s0"]}, "attack", "attack", id="columns-as-a-list"),
+        pytest.param("thresholds/baseline.json", '{"tau": {', "report", "report", id="report-of-truncated-thresholds"),
+        pytest.param("models/bank.json", {"family": "linear"}, "calibrate", "thresholds", id="bank-without-detectors"),
+        pytest.param("models/model_s0.json", _drop("w"), "calibrate", "thresholds", id="model-without-w"),
+    ],
+)
+def test_an_unreadable_artifact_is_a_dependency_error(pipeline_dir, tmp_path, capsys, rel, corrupt, command, written):
+    """An upstream artifact that does not load as its stage wrote it exits
+    3 and names the file, and the stage writes nothing."""
+    out, cfg_path = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    shutil.rmtree(run / written)
+    path = run / rel
+    if isinstance(corrupt, str):
+        path.write_text(corrupt)
+    else:
+        path.write_text(json.dumps(corrupt if isinstance(corrupt, dict) else corrupt(json.loads(path.read_text()))))
+    assert main([command, "--config", str(cfg_path), "--out", str(run)]) == EXIT_DEPENDENCY
+    assert f"unreadable artifact {path}" in capsys.readouterr().err
+    assert not (run / written).exists()
+
+
+# A small desk pipeline at seed 7 for the tests that run every stage.
+SMALL_CONFIG = {
+    "version": 1,
+    "seed": 7,
+    "plant": {"preset": "desk", "steps": 300},
+    "attack": {"budgets": [0, 1], "rows": 2},
+    "defense": {"n_max": 1, "horizon": 1},
+}
+STAGES = ("simulate", "train", "calibrate", "attack", "defend", "report")
+
+
+def _run_stages(config, out, stages):
+    cfg_path = out.parent / f"{out.name}.json"
+    cfg_path.write_text(json.dumps(config | {"output_dir": str(out)}))
+    for command in stages:
+        assert main([command, "--config", str(cfg_path)]) == EXIT_OK, command
+    return cfg_path
+
+
+def _artifact_bytes(out):
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for stage in ("models", "thresholds", "attack", "defense")
+        for p in sorted((out / stage).iterdir())
+    }
+
+
+def test_external_plant_csv_reproduces_the_simulated_pipeline(tmp_path, capsys):
+    """``plant.csv`` pointing at a simulated ``clean.csv`` gives every
+    artifact of ``train`` through ``defend`` byte for byte, with ``roles``
+    given or taken from the ``<csv>.roles.json`` sidecar; a ragged CSV is a
+    config error."""
+    _run_stages(SMALL_CONFIG, tmp_path / "sim", STAGES[:-1])
+    expected = _artifact_bytes(tmp_path / "sim")
+    data = tmp_path / "sim" / "data"
+    ext = tmp_path / "ext"
+    ext.mkdir()
+    shutil.copy(data / "clean.csv", ext / "plant.csv")
+    shutil.copy(data / "roles.json", ext / "plant.roles.json")
+    for name, spec in (
+        ("given", {"csv": str(data / "clean.csv"), "roles": str(data / "roles.json")}),
+        ("sidecar", {"csv": str(ext / "plant.csv")}),
+    ):
+        _run_stages(SMALL_CONFIG | {"plant": spec}, tmp_path / name, STAGES[1:-1])
+        assert not (tmp_path / name / "data").exists()
+        assert _artifact_bytes(tmp_path / name) == expected, name
+
+    lines = (ext / "plant.csv").read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    (ext / "plant.csv").write_text("\n".join(lines) + "\n")
+    cfg_path = tmp_path / "ragged.json"
+    cfg_path.write_text(json.dumps(SMALL_CONFIG | {"output_dir": str(tmp_path / "ragged"), "plant": {"csv": str(ext / "plant.csv")}}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "ragged" / "models").exists()
+
+
+def test_paper_preset_pipeline_matches_highs(tmp_path):
+    """The ``paper`` preset through every stage at seed 7: five detectors,
+    every attack feasible, and the budget-1 sweep point is the best target's
+    HiGHS optimum."""
+    from resguard.cli import _attack_setup, load_config
+
+    config = {
+        "version": 1,
+        "seed": 7,
+        "plant": {"preset": "paper"},
+        "attack": {"budget": 1, "budgets": [0, 1], "rows": 2},
+        "defense": {"horizon": 1, "n_max": 1},
+    }
+    out = tmp_path / "run"
+    cfg_path = _run_stages(config, out, STAGES)
+    assert len(json.loads((out / "models" / "bank.json").read_text())["detectors"]) == 5
+    report = json.loads((out / "attack" / "attack_report.json").read_text())
+    assert all(entry["feasible"] for entry in report["per_target"] + report["budget_sweep"])
+    with open(out / "attack" / "per_sensor.csv", newline="") as fh:
+        assert all(rec["feasible"] == "True" for rec in csv.DictReader(fh))
+
+    _, _, bank, tau, template, _ = _attack_setup(load_config(str(cfg_path)), out)
+    inst = replace(template, budget=1)
+    best = math.inf
+    for t in inst.critical:
+        highs = highs_milp(attack.build_attack_milp(bank, tau, inst, t))
+        assert highs.status == 0, highs.message
+        best = min(best, inst.y[t] + highs.fun)
+    sweep_b1 = next(entry for entry in report["budget_sweep"] if entry["budget"] == 1)
+    assert sweep_b1["objective"] == pytest.approx(best, abs=1e-6)

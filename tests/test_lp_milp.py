@@ -344,6 +344,32 @@ def test_numerical_warm_root_is_retried_cold(monkeypatch):
         assert retried.nodes_explored == cold.nodes_explored + 1 == len(calls)
 
 
+@pytest.mark.parametrize("status", [Status.NUMERICAL, Status.ITERATION_LIMIT])
+def test_failing_node_lp_ends_the_search(monkeypatch, status):
+    """A child LP that ends ``NUMERICAL`` or ``ITERATION_LIMIT`` stops the
+    branch and bound at once with that status, the incumbent so far (none
+    yet) and the root's basis."""
+    knapsack = MILPProblem(
+        LinearProgram(np.array([-5.0, -4.0, -3.0]), [[2.0, 3.0, 1.0]], [4.0], np.zeros(3), np.ones(3)),
+        frozenset({0, 1, 2}),
+    )
+    root = solve_lp(knapsack.lp)
+    real = lp_milp.solve_lp
+
+    def failing_children(lp, max_iterations=None, basis=None, _tableau=None):
+        if _tableau is not None:  # only a branch-and-bound child has one
+            return lp_milp.MILPSolution(status, None, math.inf, 0, basis)
+        return real(lp, max_iterations, basis)
+
+    monkeypatch.setattr(lp_milp, "solve_lp", failing_children)
+    sol = solve_milp(knapsack)
+    assert sol.status == status
+    assert sol.x is None and sol.objective == math.inf
+    assert sol.nodes_explored == 2  # the root and the first child
+    assert np.array_equal(sol.basis.basic, root.basis.basic)
+    assert np.array_equal(sol.basis.at_upper, root.basis.at_upper)
+
+
 def _random_rows(rng, n, m):
     """``m`` random ``(a, sense, rhs)`` rows of every sense, feasible at a
     planted point of the box ``[lo, hi]``; returns the rows and the box."""

@@ -89,6 +89,36 @@ def test_reduction_equivalence_small_graphs():
                 )
 
 
+def _decide_with_predictor(inst) -> bool:
+    """The reduced attack problem decided through ``inst.predictor`` itself:
+    some support holding ``c``, within the budget, whose readings of 0 or
+    ``k + 1`` every detector predicts exactly (zero thresholds)."""
+    n, c = inst.graph.n, inst.c_index
+    for size in range(inst.budget):
+        for others in itertools.combinations(range(n), size):
+            y = inst.baseline.copy()
+            y[[c, *others]] = inst.target_value
+            if all(abs(y[s] - inst.predictor(s, y)) <= inst.thresholds[s] for s in range(inst.n_sensors)):
+                return True
+    return False
+
+
+def test_reduction_predictor_agrees_with_the_bitmask_decision():
+    """``arp_decision_bruteforce`` re-derives the detectors with bitmasks;
+    on every graph with n <= 5 and every k it decides as the construction's
+    own ``predictor`` does."""
+    cases = 0
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, frozenset(p for i, p in enumerate(pairs) if bits >> i & 1))
+            for k in range(1, n + 1):
+                inst = mis_reduce(g, k)
+                assert _decide_with_predictor(inst) == arp_decision_bruteforce(inst), (n, sorted(g.edges), k)
+                cases += 1
+    assert cases == 5405
+
+
 def test_enumerate_zero_budget_returns_clean_value():
     bank, tau = constant_bank(3, (1,), values=(5.0,), taus=(10.0,))
     inst = AttackInstance(
