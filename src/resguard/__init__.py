@@ -32,7 +32,6 @@ from .models import (
     fit_linear,
     fit_nn,
     jacobian,
-    load_model,
     normalized_mse,
     predict,
     predict_batch,
@@ -48,7 +47,6 @@ from .detector import (
     calibrate_baseline,
     fp_curve,
     fp_inverse,
-    load_thresholds,
     residuals,
     save_thresholds,
     train_bank,
@@ -66,8 +64,6 @@ from .attack import (
     AttackInstance,
     AttackResult,
     Direction,
-    attack_linear,
-    attack_nn,
     build_attack_milp,
     default_alg1_config,
     instance_from_dataset,

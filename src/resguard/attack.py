@@ -154,7 +154,7 @@ class Alg1Config:
     n_max: int = 50
 
     def __post_init__(self):
-        if self.epsilon0 <= 0 or self.epsilon_min <= 0:
+        if not (self.epsilon0 > 0 and self.epsilon_min > 0):
             raise ValueError("step sizes must be positive")
         if self.epsilon_min >= self.epsilon0:
             raise ValueError("epsilon_min must be below epsilon0")
@@ -183,7 +183,7 @@ class AttackResult:
     attack found none.
 
     ``basis`` is the root basis of the last MILP the exact attack solved,
-    which can start a related attack (see ``attack_linear``); it is ``None``
+    which can start a related attack (see ``run_attack``); it is ``None``
     from the iterative attack, and it is neither compared nor reported.
     """
 
@@ -232,11 +232,6 @@ def stealth_margin(bank: PredictorBank, tau: ThresholdConfig, rows: np.ndarray) 
     return margin if np.ndim(rows) == 2 else float(margin)
 
 
-def _require_affine(bank: PredictorBank) -> None:
-    if not bank.is_affine():
-        raise TypeError("the detector bank is not affine")
-
-
 def build_attack_milp(
     bank: PredictorBank,
     tau: ThresholdConfig,
@@ -268,8 +263,8 @@ def build_attack_milp(
     simplex's phase 1 repairs it.
     """
     local = trust_radius is not None and math.isfinite(trust_radius)
-    if not local:
-        _require_affine(bank)
+    if not local and not bank.is_affine():
+        raise TypeError("the detector bank is not affine")
     if target not in inst.critical:
         raise ValueError(f"target {target} is not a critical sensor")
     for s in bank.detector_set:
@@ -362,6 +357,7 @@ def _result(
     delta: np.ndarray,
     iterations: int,
     status: str,
+    basis: Basis | None = None,
 ) -> AttackResult:
     """Attack result for ``delta`` after zeroing solver slop, clamping it
     into the perturbation bounds and certifying the attacked row."""
@@ -376,56 +372,33 @@ def _result(
         feasible=stealth_margin(bank, tau, y_tilde) <= STEALTH_TOL,
         iterations=iterations,
         solver_status=status,
+        basis=basis,
     )
 
 
-def attack_linear(
+def _attack_exact(
     bank: PredictorBank,
     tau: ThresholdConfig,
     inst: AttackInstance,
-    start: Basis | None = None,
+    target: int,
+    start: Basis | None,
 ) -> AttackResult:
-    """Exact attack on an affine bank: solve the MILP for every critical
-    target and keep the best objective in the chosen direction.  Each
-    target's MILP starts from the previous one's root basis, and the first
-    from ``start`` when given, else from the no-op vertex.  ``start`` may be
-    the ``basis`` of any attack on a bank with the same detectors and
-    sensors: the same MILP at other thresholds, budget or row has the same
-    shape.  The result's ``basis`` continues the chain.
+    """Exact attack on one target of an affine bank: its MILP, started from
+    ``start`` when given, else from the no-op vertex.  ``iterations`` counts
+    branch-and-bound nodes and ``basis`` is the MILP's root basis.
 
-    A candidate whose attack fails the stealth certificate is a solver
-    fault, not an attack: it is dropped and the result reports
-    ``solver_status="numerical"``, as it does when a MILP solve ends
-    ``NUMERICAL`` (its incumbent, if any, still competes).
+    Without an incumbent the result is the target's no-op under the MILP's
+    status.  An incumbent that fails the stealth certificate is a solver
+    fault, not an attack: it gives the no-op with status ``numerical``.
     """
-    _require_affine(bank)
-    sign = inst.direction.sign
-    best: AttackResult | None = None
-    total_nodes = 0
-    hit_limit = numerical = False
-    warm = start
-    for target in inst.critical:
-        # Targets differ only in the objective, so the previous target's
-        # root vertex is primal feasible here.
-        sol = solve_milp(build_attack_milp(bank, tau, inst, target), start=warm)
-        warm = sol.basis
-        total_nodes += sol.nodes_explored
-        hit_limit |= sol.status == Status.ITERATION_LIMIT
-        numerical |= sol.status == Status.NUMERICAL
-        if sol.x is None:
-            continue
-        result = _result(bank, tau, inst, target, _delta(inst, sol.x), 0, "optimal")
-        if not result.feasible:
-            numerical = True
-        elif best is None or sign * result.objective < sign * best.objective:
-            best = result
-    if best is None:
-        status = "numerical" if numerical else "iteration_limit" if hit_limit else "infeasible"
-        target = min(inst.critical, key=lambda s: sign * inst.y[s])
-        best = _result(bank, tau, inst, target, np.zeros_like(inst.y), 0, status)
-    else:
-        status = "numerical" if numerical else "iteration_limit" if hit_limit else "optimal"
-    return replace(best, iterations=total_nodes, solver_status=status, basis=warm)
+    sol = solve_milp(build_attack_milp(bank, tau, inst, target), start=start)
+    status = sol.status.value
+    if sol.x is not None:
+        result = _result(bank, tau, inst, target, _delta(inst, sol.x), sol.nodes_explored, status, sol.basis)
+        if result.feasible:
+            return result
+        status = "numerical"
+    return _result(bank, tau, inst, target, np.zeros_like(inst.y), sol.nodes_explored, status, sol.basis)
 
 
 def _probe_seeds(
@@ -483,55 +456,40 @@ def _probe_seeds(
     return probes
 
 
-def attack_nn(
+def _attack_iterative(
     bank: PredictorBank,
     tau: ThresholdConfig,
     inst: AttackInstance,
+    target: int,
     cfg: Alg1Config,
-    seeds: Sequence[np.ndarray] = (),
+    seeds: Sequence[np.ndarray],
 ) -> AttackResult:
-    """Iterative attack on a nonlinear bank.
+    """Iterative attack on one target of a nonlinear bank, descending from
+    the clean row and then from each of ``seeds``.
 
-    Per target: linearize all detectors at the current point, solve the
-    trust-region MILP, verify the candidate against the true models, halve
-    the radius on violation, and reset it after every accepted step.  A
-    descent stops after ``n_max`` MILP solves, when the radius falls below
-    ``epsilon_min``, or when the objective stops improving.
+    A descent linearizes all detectors at the current point, solves the
+    trust-region MILP, verifies the candidate against the true models,
+    halves the radius on violation, and resets it after every accepted
+    step.  It stops after ``n_max`` MILP solves, when the radius falls
+    below ``epsilon_min``, or when the objective stops improving.
 
-    Two robustness measures sit on top of that skeleton.  Step halving
-    alone strangles on curved detector boundaries (a tangent step of size
-    ``eps`` violates by curvature * eps**2 however small eps gets), so each
-    detector carries an adaptive backoff: its linearized threshold is
-    tightened by the violation observed at rejected candidates and relaxed
-    after accepted ones.  And because linearization is blind to other
-    branches of a nonconvex stealth set, the descent restarts from a couple
-    of coarse verified-feasible probe points.  Accepted iterates are always
-    verified against the true models, so the objective never worsens along
-    a descent.  ``seeds`` are further points that every target's descents
-    start from after the probes, such as the best point of a smaller
-    budget; each must be an attack this instance allows (within its
-    perturbation bounds and budget), else ``ValueError``.  A stealthy seed
-    bounds each target's answer by the seed's own value.
+    Step halving alone strangles on curved detector boundaries (a tangent
+    step of size ``eps`` violates by curvature * eps**2 however small eps
+    gets), so each detector carries an adaptive backoff: its linearized
+    threshold is tightened by the violation observed at rejected candidates
+    and relaxed after accepted ones.  Linearization is blind to other
+    branches of a nonconvex stealth set, hence the restarts from seeds.
+    Accepted iterates are verified against the true models, so the
+    objective never worsens along a descent.
 
-    A target's trust-region MILPs share their rows, columns and objective;
-    only the centre, the radius and the tightened thresholds change.  So
+    The MILPs differ only in centre, radius and tightened thresholds, so
     each starts from the root basis of the last one that ended optimal,
-    across all of the target's descents.
-
-    A target whose descents find no stealthy point gives the ``clean_alarm``
-    no-op, which is returned only when no target found one.
+    across all descents.  ``iterations`` counts the MILPs.  With no stealthy
+    point found the result is the ``clean_alarm`` no-op.
     """
     sign = inst.direction.sign
-    extra = [np.asarray(point, dtype=float) for point in seeds]
-    dlo, dhi = inst.delta_bounds()
-    for point in extra:
-        if point.shape != inst.y.shape:
-            raise ValueError("a seed point must be a full measurement row")
-        shift = point - inst.y
-        if np.count_nonzero(shift) > inst.budget or np.any(shift < dlo - 1e-9) or np.any(shift > dhi + 1e-9):
-            raise ValueError("a seed point must lie within the perturbation bounds and the budget")
 
-    def descend(target: int, seed: np.ndarray, warm: Basis | None) -> tuple[np.ndarray, int, Basis | None]:
+    def descend(seed: np.ndarray, warm: Basis | None) -> tuple[np.ndarray, int, Basis | None]:
         current = seed.copy()
         cur_obj = float(current[target])
         eps = cfg.epsilon0
@@ -574,31 +532,20 @@ def attack_nn(
                 eps /= 2.0
         return current, iters, warm
 
-    best: AttackResult | None = None
-    probes = _probe_seeds(bank, tau, inst)
-    for target in inst.critical:
-        final_point: np.ndarray | None = None
-        total_iters = 0
-        warm: Basis | None = None
-        for seed in [inst.y] + probes[target] + extra:
-            point, iters, warm = descend(target, seed, warm)
-            total_iters += iters
-            if stealth_margin(bank, tau, point) <= STEALTH_TOL:
-                if final_point is None or sign * point[target] < sign * final_point[target]:
-                    final_point = point
-        status = "optimal"
-        if final_point is None:
-            # The descent from the clean row ends at a stealthy point or at
-            # the clean row, so the clean row alarms: an honest no-op.
-            final_point, status = inst.y, "clean_alarm"
-        final = _result(bank, tau, inst, target, final_point - inst.y, total_iters, status)
-        # A stealthy attack on any target beats the no-op, whatever the objectives.
-        if best is None or (best.solver_status, status) == ("clean_alarm", "optimal") or (
-            best.solver_status == status and sign * final.objective < sign * best.objective
-        ):
-            best = final
-    assert best is not None  # critical is nonempty by construction
-    return best
+    final_point: np.ndarray | None = None
+    total_iters = 0
+    warm: Basis | None = None
+    for seed in [inst.y, *seeds]:
+        point, iters, warm = descend(seed, warm)
+        total_iters += iters
+        if stealth_margin(bank, tau, point) <= STEALTH_TOL:
+            if final_point is None or sign * point[target] < sign * final_point[target]:
+                final_point = point
+    if final_point is None:
+        # The descent from the clean row ends at a stealthy point or at the
+        # clean row, so the clean row alarms: an honest no-op.
+        return _result(bank, tau, inst, target, np.zeros_like(inst.y), total_iters, "clean_alarm")
+    return _result(bank, tau, inst, target, final_point - inst.y, total_iters, "optimal")
 
 
 def run_attack(
@@ -609,20 +556,59 @@ def run_attack(
     start: Basis | None = None,
     seeds: Sequence[np.ndarray] = (),
 ) -> AttackResult:
-    """Dispatch on the bank family: exact MILP for affine banks, iterative
-    linearization otherwise (``cfg`` required for nonlinear banks).
+    """The attacker's best response: one attack per critical target, and
+    the best of them.
 
-    ``start`` goes to ``attack_linear`` and ``seeds`` to ``attack_nn``; the
-    exact attack needs no seed points and ignores them, and a start basis on
-    a nonlinear bank is a ``ValueError``.
+    On an affine bank each target gets the exact MILP (``_attack_exact``),
+    chained through root bases: the first starts from ``start`` when given
+    (the ``basis`` of any attack on a bank with the same detectors and
+    sensors, which has the same MILP shape), else from the no-op vertex.
+    ``seeds`` are ignored.  On any other bank each target gets the
+    iterative descents (``_attack_iterative``; ``cfg`` required, a start
+    basis is a ``ValueError``) from the clean row, up to 3 probe points
+    (``_probe_seeds``) and then ``seeds``, such as a smaller budget's best
+    point.  Each seed must be an attack this instance allows (within its
+    perturbation bounds and budget), else ``ValueError``.
+
+    The best result is stealthy if any is, then has the better objective
+    in the instance's direction, then the earlier target.  With no
+    stealthy result it is the no-op on the target whose clean value is
+    best.  Its status is ``numerical`` if any target's is, else
+    ``iteration_limit`` if any target's is, else its own.  ``iterations``
+    totals the call's work: branch-and-bound nodes, or trust-region MILPs.
+    ``basis`` is the last target's root basis, ``None`` when iterative.
     """
     if bank.is_affine():
-        return attack_linear(bank, tau, inst, start)
-    if start is not None:
-        raise ValueError("a start basis needs an affine bank")
-    if cfg is None:
-        raise ValueError("Alg1Config required for a nonlinear bank")
-    return attack_nn(bank, tau, inst, cfg, seeds)
+        attack = functools.partial(_attack_exact, bank, tau, inst)
+    else:
+        if start is not None:
+            raise ValueError("a start basis needs an affine bank")
+        if cfg is None:
+            raise ValueError("Alg1Config required for a nonlinear bank")
+        extra = [np.asarray(point, dtype=float) for point in seeds]
+        dlo, dhi = inst.delta_bounds()
+        for point in extra:
+            if point.shape != inst.y.shape:
+                raise ValueError("a seed point must be a full measurement row")
+            shift = point - inst.y
+            if np.count_nonzero(shift) > inst.budget or np.any(shift < dlo - 1e-9) or np.any(shift > dhi + 1e-9):
+                raise ValueError("a seed point must lie within the perturbation bounds and the budget")
+        probes = _probe_seeds(bank, tau, inst)
+
+        def attack(target: int, _start: Basis | None) -> AttackResult:
+            return _attack_iterative(bank, tau, inst, target, cfg, probes[target] + extra)
+
+    results = []
+    for target in inst.critical:
+        # Exact targets differ only in the objective, so the previous
+        # target's root vertex is primal feasible here.
+        results.append(attack(target, start))
+        start = results[-1].basis
+    sign = inst.direction.sign
+    best = min(results, key=lambda r: (not r.feasible, sign * r.objective))
+    statuses = {r.solver_status for r in results}
+    status = next((s for s in ("numerical", "iteration_limit") if s in statuses), best.solver_status)
+    return replace(best, iterations=sum(r.iterations for r in results), solver_status=status, basis=start)
 
 
 def result_to_json(inst: AttackInstance, result: AttackResult, bank: PredictorBank | None = None) -> dict:

@@ -79,9 +79,9 @@ def _typed(default, value, name: str):
 
     An object is merged over its default key by key, and keys without a
     default pass unchanged.  List elements follow the default's first
-    element.  An integer default takes a number with no fractional part and
-    gives an ``int``; a float or ``null`` default takes any number and gives
-    a ``float``, and ``null`` stays ``null``.  A boolean, string, object or
+    element.  No number may be NaN.  An integer default takes a number with
+    no fractional part and gives an ``int``; a float or ``null`` default
+    takes any number and gives a ``float``, and ``null`` stays ``null``.  A boolean, string, object or
     array default takes only its own JSON type.
     """
     kind = _JSON_TYPES.get(type(value), "null")
@@ -100,6 +100,8 @@ def _typed(default, value, name: str):
         return None
     if kind != "number":
         raise ConfigError(f"{name} must be {'null or ' if default is None else ''}number, not {kind}")
+    if isinstance(value, float) and math.isnan(value):
+        raise ConfigError(f"{name} must be a number, not NaN")
     if not isinstance(default, int):
         try:
             return float(value)

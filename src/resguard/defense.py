@@ -57,7 +57,7 @@ class DefenseConfig:
     def __post_init__(self):
         if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.n_max < 1 or self.horizon < 1:
             raise ValueError("n_max and horizon must be positive")

@@ -291,7 +291,3 @@ def save_thresholds(tau: ThresholdConfig, path, bank: PredictorBank | None = Non
         json.dump(thresholds_to_json(tau, bank, calibration), fh, indent=2)
         fh.write("\n")
 
-
-def load_thresholds(path) -> ThresholdConfig:
-    with open(path) as fh:
-        return thresholds_from_json(json.load(fh))

@@ -152,7 +152,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden_layers must be positive widths")
@@ -459,7 +459,3 @@ def save_model(model: Model, path) -> None:
         json.dump(model_to_json(model), fh, indent=2)
         fh.write("\n")
 
-
-def load_model(path) -> Model:
-    with open(path) as fh:
-        return model_from_json(json.load(fh))

@@ -15,9 +15,8 @@ from _helpers import finite_difference_gradient, random_linear_setup, random_neu
 from resguard.attack import (
     Alg1Config,
     AttackInstance,
-    attack_linear,
-    attack_nn,
     instance_from_dataset,
+    run_attack,
     stealth_margin,
 )
 from resguard.defense import DefenseConfig, resilient_thresholds, total_false_alarms
@@ -69,13 +68,13 @@ def _report(num: int, detail: str) -> None:
 
 
 def test_criterion_1_milp_exactness():
-    """attack_linear equals the subset-enumeration oracle on 200 instances."""
+    """The exact attack equals the subset-enumeration oracle on 200 instances."""
     rng = np.random.default_rng(1001)
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(200):
         bank, tau, inst = random_linear_setup(rng)
-        result = attack_linear(bank, tau, inst)
+        result = run_attack(bank, tau, inst)
         _register(bank, tau, result)
         oracle = min(oracle_attack_enumerate(bank, tau, inst, t) for t in inst.critical)
         diff = abs(result.objective - oracle)
@@ -109,7 +108,7 @@ def test_criterion_3_gradient_correctness():
 
 
 def test_criterion_4_alg1_consistency():
-    """Linear-wrapped banks reproduce attack_linear; tanh banks track the grid."""
+    """Linear-wrapped banks reproduce the exact attack; tanh banks track the grid."""
     rng = np.random.default_rng(4004)
     worst_eq = 0.0
     for _ in range(50):
@@ -125,8 +124,8 @@ def test_criterion_4_alg1_consistency():
         nn_bank = PredictorBank(wrapped, bank.detector_set)
         span = float(np.max(inst.box_hi - inst.box_lo))
         cfg = Alg1Config(epsilon0=2.0 * span, epsilon_min=2.0 * span / 2**10, n_max=50)
-        lin = attack_linear(bank, tau, inst)
-        it = attack_nn(nn_bank, tau, inst, cfg)
+        lin = run_attack(bank, tau, inst)
+        it = run_attack(nn_bank, tau, inst, cfg)
         _register(nn_bank, tau, it)
         diff = abs(it.objective - lin.objective)
         worst_eq = max(worst_eq, diff)
@@ -147,7 +146,7 @@ def test_criterion_4_alg1_consistency():
         tau = ThresholdConfig({s: res[s] + float(rng.uniform(0.2, 0.6)) for s in (0, 1)})
         inst = AttackInstance(y=y, sensor_columns=(0, 1), critical=(0,), budget=2, eta=2.0)
         cfg = Alg1Config(epsilon0=0.5, epsilon_min=0.5 / 2**12, n_max=50)
-        result = attack_nn(bank, tau, inst, cfg)
+        result = run_attack(bank, tau, inst, cfg)
         _register(bank, tau, result)
         assert result.feasible, f"tanh trial {trial} returned infeasible"
         grid = oracle_attack_grid(bank, tau, inst, 0, step=0.01)
@@ -181,7 +180,7 @@ def test_criterion_5_budget_monotonicity():
                 box_lo=inst.box_lo,
                 box_hi=inst.box_hi,
             )
-            result = attack_linear(bank, tau, inst_b)
+            result = run_attack(bank, tau, inst_b)
             _register(bank, tau, result)
             assert result.objective <= prev + 1e-9, (
                 f"budget {b} worsened objective: {result.objective} > {prev}"
@@ -198,7 +197,7 @@ def test_criterion_2_stealth_certificate():
     rng = np.random.default_rng(2002)
     for _ in range(40):
         bank, tau, inst = random_linear_setup(rng)
-        _register(bank, tau, attack_linear(bank, tau, inst))
+        _register(bank, tau, run_attack(bank, tau, inst))
     assert _CERT_REGISTRY, "no attack results were produced"
     worst = -math.inf
     for bank, tau, result in _CERT_REGISTRY:

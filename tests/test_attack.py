@@ -11,8 +11,6 @@ from resguard.attack import (
     Alg1Config,
     AttackInstance,
     Direction,
-    attack_linear,
-    attack_nn,
     build_attack_milp,
     default_alg1_config,
     instance_from_dataset,
@@ -75,7 +73,7 @@ def test_milp_mutual_detectors_match_oracle():
     expected = {1: -1.0, 2: -10.0}
     for budget, value in expected.items():
         inst = _pair_instance(budget)
-        result = attack_linear(bank, tau, inst)
+        result = run_attack(bank, tau, inst)
         assert result.objective == pytest.approx(value, abs=1e-6)
         assert result.objective == pytest.approx(
             oracle_attack_enumerate(bank, tau, inst, 0), abs=1e-6
@@ -117,7 +115,7 @@ def test_attack_linear_eta_bound_only():
         budget=1,
         eta=2.0,
     )
-    result = attack_linear(bank, tau, inst)
+    result = run_attack(bank, tau, inst)
     assert result.objective == pytest.approx(2.0, abs=1e-7)
     assert_result_invariants(result, inst)
 
@@ -127,7 +125,7 @@ def test_attack_linear_zero_budget():
     inst = AttackInstance(
         y=np.array([4.0, 5.0, 1.0]), sensor_columns=(0, 1, 2), critical=(0, 1), budget=0
     )
-    result = attack_linear(bank, tau, inst)
+    result = run_attack(bank, tau, inst)
     assert result.objective == 4.0  # best clean critical value under minimize
     assert result.n_attacked == 0
     assert result.feasible
@@ -137,7 +135,7 @@ def test_attack_linear_matches_oracle_randomized():
     rng = np.random.default_rng(314)
     for _ in range(50):
         bank, tau, inst = random_linear_setup(rng)
-        result = attack_linear(bank, tau, inst)
+        result = run_attack(bank, tau, inst)
         oracle = min(
             (oracle_attack_enumerate(bank, tau, inst, t) for t in inst.critical),
         )
@@ -163,7 +161,7 @@ def test_attack_linear_budget_monotone():
                 box_lo=inst.box_lo,
                 box_hi=inst.box_hi,
             )
-            obj = attack_linear(bank, tau, inst_b).objective
+            obj = run_attack(bank, tau, inst_b).objective
             assert obj <= prev + 1e-9
             prev = obj
 
@@ -172,9 +170,9 @@ def test_attack_linear_threshold_monotone():
     rng = np.random.default_rng(55)
     for _ in range(10):
         bank, tau, inst = random_linear_setup(rng, d=5, budget=2)
-        base = attack_linear(bank, tau, inst).objective
+        base = run_attack(bank, tau, inst).objective
         wider = ThresholdConfig({s: t + 0.7 for s, t in tau.tau.items()})
-        assert attack_linear(bank, wider, inst).objective <= base + 1e-9
+        assert run_attack(bank, wider, inst).objective <= base + 1e-9
 
 
 def test_attack_linear_unconstrained_limit_hits_box():
@@ -188,7 +186,7 @@ def test_attack_linear_unconstrained_limit_hits_box():
     bank = PredictorBank(detectors, tuple(range(d)))
     tau = ThresholdConfig({s: 1e7 for s in range(d)})
     inst = AttackInstance(y=np.zeros(d), sensor_columns=tuple(range(d)), critical=(0,), budget=d)
-    result = attack_linear(bank, tau, inst)
+    result = run_attack(bank, tau, inst)
     assert result.objective == pytest.approx(inst.box_lo[0], abs=1e-6)
 
 
@@ -198,7 +196,7 @@ def test_attack_maximize_direction():
     inst = AttackInstance(
         y=np.zeros(2), sensor_columns=(0, 1), critical=(0,), budget=1, direction=Direction.MAXIMIZE
     )
-    result = attack_linear(bank, tau, inst)
+    result = run_attack(bank, tau, inst)
     assert result.objective == pytest.approx(1.0, abs=1e-7)
     # A plain string names the same direction.
     assert replace(inst, direction="maximize").direction is Direction.MAXIMIZE
@@ -227,10 +225,22 @@ def test_attack_infeasible_clean_point():
         budget=0,
         eta=0.0,
     )
-    result = attack_linear(bank, tau, inst)
+    result = run_attack(bank, tau, inst)
     assert not result.feasible
     assert result.n_attacked == 0
     assert result.solver_status == "infeasible"
+
+
+def test_alg1_config_validation():
+    for bad in (
+        dict(epsilon0=0.0, epsilon_min=1e-3),
+        dict(epsilon0=math.nan, epsilon_min=1e-3),
+        dict(epsilon0=1.0, epsilon_min=math.nan),
+        dict(epsilon0=1.0, epsilon_min=1.0),
+        dict(epsilon0=1.0, epsilon_min=1e-3, n_max=0),
+    ):
+        with pytest.raises(ValueError):
+            Alg1Config(**bad)
 
 
 def test_attack_nn_constant_predictors_reach_bound():
@@ -241,7 +251,7 @@ def test_attack_nn_constant_predictors_reach_bound():
         y=np.zeros(2), sensor_columns=(0, 1), critical=(0,), budget=1, eta=2.0
     )
     cfg = Alg1Config(epsilon0=5.0, epsilon_min=5.0 / 2**10, n_max=20)
-    result = attack_nn(bank, tau, inst, cfg)
+    result = run_attack(bank, tau, inst, cfg)
     assert result.objective == pytest.approx(-2.0, abs=1e-7)
     assert result.feasible
     # Each restart converges in an accepted step plus the convergence probe.
@@ -260,8 +270,8 @@ def test_attack_nn_equals_linear_on_wrapped_models():
         nn_bank = PredictorBank(wrapped, bank.detector_set)
         span = float(np.max(inst.box_hi - inst.box_lo))
         cfg = Alg1Config(epsilon0=2.0 * span, epsilon_min=2.0 * span / 2**10, n_max=50)
-        lin = attack_linear(bank, tau, inst)
-        it = attack_nn(nn_bank, tau, inst, cfg)
+        lin = run_attack(bank, tau, inst)
+        it = run_attack(nn_bank, tau, inst, cfg)
         assert it.objective == pytest.approx(lin.objective, abs=1e-6)
         assert it.feasible or not lin.feasible
         assert_result_invariants(it, inst)
@@ -291,7 +301,7 @@ def test_attack_nn_close_to_grid_oracle():
             y=y, sensor_columns=(0, 1), critical=(0,), budget=2, eta=2.0
         )
         cfg = Alg1Config(epsilon0=0.5, epsilon_min=0.5 / 2**12, n_max=50)
-        result = attack_nn(bank, tau, inst, cfg)
+        result = run_attack(bank, tau, inst, cfg)
         assert result.feasible
         grid = oracle_attack_grid(bank, tau, inst, 0, step=0.01)
         assert grid is not None
@@ -393,7 +403,7 @@ def test_attack_linear_drops_candidate_failing_certificate(monkeypatch):
         return stealth_breaking_solve(problem) if problem.lp.objective[0] else solve_milp(problem, start=start)
 
     monkeypatch.setattr(attack, "solve_milp", solve)
-    result = attack_linear(bank, tau, inst)
+    result = run_attack(bank, tau, inst)
     assert result.solver_status == "numerical"
     assert result.target == 1
     assert result.objective == pytest.approx(-1.0, abs=1e-7)
@@ -401,7 +411,7 @@ def test_attack_linear_drops_candidate_failing_certificate(monkeypatch):
     assert_result_invariants(result, inst)
 
     monkeypatch.setattr(attack, "solve_milp", stealth_breaking_solve)
-    result = attack_linear(bank, tau, inst)
+    result = run_attack(bank, tau, inst)
     assert result.solver_status == "numerical"
     assert result.n_attacked == 0
     assert result.feasible
@@ -413,7 +423,7 @@ def test_attack_linear_reports_numerical_lp(monkeypatch):
     inst = AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0, 1), budget=1)
     # Every LP vertex now fails verification, so no MILP can be OPTIMAL.
     monkeypatch.setattr(lp_milp, "check_solution", lambda problem, x, tol=1e-7: 1e3)
-    result = attack_linear(bank, tau, inst)
+    result = run_attack(bank, tau, inst)
     assert result.solver_status == "numerical"
     assert result.n_attacked == 0
     assert result.feasible
@@ -424,7 +434,7 @@ def test_attack_linear_without_an_incumbent_at_the_node_cap_says_so(monkeypatch)
     tau = ThresholdConfig({0: 1.0, 1: 1.0})
     inst = AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0, 1), budget=1)
     monkeypatch.setattr(attack, "solve_milp", lambda problem, start=None: MILPSolution(Status.ITERATION_LIMIT, None, None, 7))
-    result = attack_linear(bank, tau, inst)
+    result = run_attack(bank, tau, inst)
     assert result.solver_status == "iteration_limit"
     assert result.n_attacked == 0 and result.iterations == 14
 
@@ -452,7 +462,7 @@ def test_attack_linear_matches_highs_at_paper_scale():
             highs = highs_milp(problem)
             assert highs.status == 0, highs.message
             ref = float(highs.fun)
-            result = attack_linear(bank, tau, inst)
+            result = run_attack(bank, tau, inst)
             key = (budget, target)
             assert result.objective - inst.y[target] == pytest.approx(ref, abs=1e-6 * max(1.0, abs(ref))), key
             assert result.feasible, key
@@ -475,7 +485,7 @@ def test_attack_linear_matches_highs_at_paper_scale_budgets_4_5():
             highs = highs_milp(build_attack_milp(bank, tau, inst, target))
             assert highs.status == 0, highs.message
             ref = float(highs.fun)
-            result = attack_linear(bank, tau, inst)
+            result = run_attack(bank, tau, inst)
             key = (budget, target)
             assert result.solver_status == "optimal", key
             assert result.objective - inst.y[target] == pytest.approx(ref, abs=1e-6 * max(1.0, abs(ref))), key
@@ -642,9 +652,9 @@ def test_singular_start_basis_falls_back_to_a_cold_root():
         assert sol.nodes_explored == cold.nodes_explored + 1
 
 
-def test_attack_linear_over_targets_equals_the_best_single_target():
+def test_exact_attack_over_targets_equals_the_best_single_target():
     """Paper preset seed 7, test rows 0-1, budgets 1-3: the multi-target
-    attack, whose MILPs start from the previous target's root basis, gives
+    exact attack, whose MILPs start from the previous target's root basis, gives
     the objective and target of the best single-target attack, the earlier
     target winning a tie."""
     data = simulate(paper_scale_config(seed=7), 7200)
@@ -654,10 +664,10 @@ def test_attack_linear_over_targets_equals_the_best_single_target():
     for row in (0, 1):
         for budget in (1, 2, 3):
             y = test.values[row]
-            multi = attack_linear(bank, tau, instance_from_dataset(train, y, budget=budget))
+            multi = run_attack(bank, tau, instance_from_dataset(train, y, budget=budget))
             best = None
             for target in train.critical_columns():
-                single = attack_linear(bank, tau, instance_from_dataset(train, y, budget=budget, critical=(target,)))
+                single = run_attack(bank, tau, instance_from_dataset(train, y, budget=budget, critical=(target,)))
                 assert single.solver_status == "optimal" and single.feasible
                 if best is None or single.objective < best.objective:
                     best = single
@@ -665,6 +675,36 @@ def test_attack_linear_over_targets_equals_the_best_single_target():
             assert multi.solver_status == "optimal" and multi.feasible, key
             assert multi.target == best.target, key
             assert multi.objective == pytest.approx(best.objective, abs=1e-9 * max(1.0, abs(best.objective))), key
+
+
+def test_iterative_attack_over_targets_equals_the_best_single_target(monkeypatch):
+    """Desk tanh preset seed 7, neural bank: the two-target iterative
+    attack gives the target, objective and delta of the best single-target
+    attack, and its ``iterations`` totals the single-target ones, one per
+    trust-region MILP it solved."""
+    cfg = desk_config(seed=7, nonlinearity=Nonlinearity.TANH, nonlinear_channels=(0,))
+    train, test = split_sequential(simulate(cfg, 1200), 0.8)
+    bank = train_bank(train, family="neural", train_cfg=TrainConfig(epochs=2000, seed=7))
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
+    alg1 = default_alg1_config(train)
+    assert len(train.critical_columns()) == 2
+    solves = []
+    real = attack.solve_milp
+    monkeypatch.setattr(attack, "solve_milp", lambda problem, start=None: solves.append(1) or real(problem, start=start))
+    for row, budget in ((1, 1), (3, 2), (0, 2)):
+        y = test.values[row]
+        solves.clear()
+        multi = run_attack(bank, tau, instance_from_dataset(train, y, budget=budget), alg1)
+        key = (row, budget)
+        assert multi.iterations == len(solves), key
+        singles = [
+            run_attack(bank, tau, instance_from_dataset(train, y, budget=budget, critical=(target,)), alg1)
+            for target in train.critical_columns()
+        ]
+        best = min(singles, key=lambda r: (not r.feasible, r.objective))
+        assert multi.iterations == sum(single.iterations for single in singles), key
+        assert (multi.target, multi.objective, multi.feasible) == (best.target, best.objective, best.feasible), key
+        assert np.array_equal(multi.delta, best.delta), key
 
 
 def test_attack_linear_from_a_foreign_basis_matches_the_no_op_start():
@@ -678,11 +718,11 @@ def test_attack_linear_from_a_foreign_basis_matches_the_no_op_start():
     tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
     cases = [(row, budget) for row in range(3) for budget in (1, 2, 3)]
     insts = {key: instance_from_dataset(train, test.values[key[0]], budget=key[1]) for key in cases}
-    plain = {key: attack_linear(bank, tau, inst) for key, inst in insts.items()}
+    plain = {key: run_attack(bank, tau, inst) for key, inst in insts.items()}
     for i, key in enumerate(cases):
         donor = plain[cases[(i + 4) % len(cases)]]
         assert donor.basis is not None
-        warm = attack_linear(bank, tau, insts[key], start=donor.basis)
+        warm = run_attack(bank, tau, insts[key], start=donor.basis)
         assert warm.solver_status == plain[key].solver_status == "optimal", key
         assert warm.feasible and warm.target == plain[key].target, key
         assert warm.objective == pytest.approx(plain[key].objective, abs=1e-9), key
@@ -932,7 +972,7 @@ def test_attack_nn_reports_an_alarming_clean_row():
     res = residuals(bank, y)
     tau = ThresholdConfig({s: r + 0.4 for s, r in res.items()}).with_values({0: 0.5 * res[0]})
     inst = AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(1,), budget=1, eta=0.0)
-    result = attack_nn(bank, tau, inst, Alg1Config(epsilon0=1.0, epsilon_min=1.0 / 2**10, n_max=10))
+    result = run_attack(bank, tau, inst, Alg1Config(epsilon0=1.0, epsilon_min=1.0 / 2**10, n_max=10))
     assert result.solver_status == "clean_alarm"
     assert result.feasible is False
     assert result.n_attacked == 0
@@ -963,7 +1003,7 @@ def test_attack_nn_prefers_a_stealthy_target_to_the_no_op(monkeypatch):
 
     monkeypatch.setattr(attack, "build_attack_milp", build)
     monkeypatch.setattr(attack, "solve_milp", solve)
-    result = attack_nn(bank, tau, inst, Alg1Config(epsilon0=4.0, epsilon_min=4.0 / 2**10, n_max=20))
+    result = run_attack(bank, tau, inst, Alg1Config(epsilon0=4.0, epsilon_min=4.0 / 2**10, n_max=20))
     assert set(targets) == {0, 1}
     assert (result.target, result.solver_status, result.feasible) == (1, "optimal", True)
     assert result.objective == pytest.approx(-0.01, abs=1e-9)
@@ -983,7 +1023,7 @@ def test_attack_linear_on_an_all_other_columns_bank_matches_enumeration():
     for row in range(3):
         for budget in (1, 2, 3):
             inst = instance_from_dataset(train, test.values[row], budget=budget)
-            result = attack_linear(bank, tau, inst)
+            result = run_attack(bank, tau, inst)
             oracle = min(oracle_attack_enumerate(bank, tau, inst, t) for t in inst.critical)
             assert result.objective == pytest.approx(oracle, abs=1e-6), (row, budget)
             assert result.feasible, (row, budget)

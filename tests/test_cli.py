@@ -132,6 +132,9 @@ def test_config_error_exit_codes(tmp_path):
         ("attack", {"rows": 2.5}),
         ("defense", {"horizon": 1.5}),
         ("train", {"hidden_layers": [4.5]}),
+        ("defense", {"epsilon": math.nan}),
+        ("attack", {"eta": math.nan}),
+        ("train", {"learning_rate": math.nan}),
     ],
 )
 def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, section, value):
@@ -144,8 +147,9 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, section, valu
 
 def test_config_types_follow_the_defaults(tmp_path):
     """An integer default takes an integral number as an ``int``; a float or
-    ``null`` default takes any number as a ``float``; keys without a default
-    are not checked; a list element must match the default's elements."""
+    ``null`` default takes any number as a ``float``, infinity included but
+    not NaN; keys without a default are not checked; a list element must
+    match the default's elements."""
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"attack": {"eta": 0.5}, "defense": {"epsilon": 1}, "plant": {"overrides": {"noise_std": 0.1}}}))
     cfg = load_config(str(cfg_path))
@@ -163,6 +167,11 @@ def test_config_types_follow_the_defaults(tmp_path):
     cfg_path.write_text('{"defense": {"gamma": 1' + "0" * 400 + "}}")
     with pytest.raises(ValueError, match=r"defense\.gamma is too large"):
         load_config(str(cfg_path))
+    cfg_path.write_text('{"attack": {"budgets": [1, NaN]}}')
+    with pytest.raises(ValueError, match=re.escape("attack.budgets[1] must be a number, not NaN")):
+        load_config(str(cfg_path))
+    cfg_path.write_text('{"attack": {"eta": Infinity}}')
+    assert load_config(str(cfg_path))["attack"]["eta"] == math.inf
 
 
 def _assert_typed_by_defaults(default, value, name=""):

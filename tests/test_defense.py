@@ -220,3 +220,5 @@ def test_defense_config_validation():
         DefenseConfig(gamma=float("nan"))
     with pytest.raises(ValueError):
         DefenseConfig(epsilon=0.0)
+    with pytest.raises(ValueError):
+        DefenseConfig(epsilon=float("nan"))

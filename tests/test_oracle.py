@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _helpers import constant_bank, random_linear_setup
-from resguard.attack import AttackInstance, attack_linear
+from resguard.attack import AttackInstance, run_attack
 from resguard.detector import DetectorEntry, PredictorBank, ThresholdConfig
 from resguard.models import LinearModel
 from resguard.oracle import (
@@ -144,7 +144,7 @@ def test_enumerate_matches_attack_linear():
     for _ in range(30):
         bank, tau, inst = random_linear_setup(rng, d=6)
         best = min(oracle_attack_enumerate(bank, tau, inst, t) for t in inst.critical)
-        assert attack_linear(bank, tau, inst).objective == pytest.approx(best, abs=1e-6)
+        assert run_attack(bank, tau, inst).objective == pytest.approx(best, abs=1e-6)
 
 
 def test_enumerate_lower_bounds_any_feasible_attack():
