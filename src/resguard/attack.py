@@ -154,8 +154,8 @@ class Alg1Config:
     n_max: int = 50
 
     def __post_init__(self):
-        if not (self.epsilon0 > 0 and self.epsilon_min > 0):
-            raise ValueError("step sizes must be positive")
+        if not (0 < self.epsilon0 < math.inf and self.epsilon_min > 0):
+            raise ValueError("step sizes must be finite and positive")
         if self.epsilon_min >= self.epsilon0:
             raise ValueError("epsilon_min must be below epsilon0")
         if self.n_max < 1:
@@ -184,7 +184,8 @@ class AttackResult:
 
     ``basis`` is the root basis of the last MILP the exact attack solved,
     which can start a related attack (see ``run_attack``); it is ``None``
-    from the iterative attack, and it is neither compared nor reported.
+    from the iterative attack.  ``per_target`` is ``run_attack``'s attack on
+    each critical target, in order.  Neither is compared nor reported.
     """
 
     y_tilde: np.ndarray
@@ -196,6 +197,7 @@ class AttackResult:
     iterations: int
     solver_status: str = "optimal"
     basis: Basis | None = field(default=None, compare=False, repr=False)
+    per_target: tuple[AttackResult, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def n_attacked(self) -> int:
@@ -577,6 +579,7 @@ def run_attack(
     ``iteration_limit`` if any target's is, else its own.  ``iterations``
     totals the call's work: branch-and-bound nodes, or trust-region MILPs.
     ``basis`` is the last target's root basis, ``None`` when iterative.
+    ``per_target`` keeps every target's result.
     """
     if bank.is_affine():
         attack = functools.partial(_attack_exact, bank, tau, inst)
@@ -608,7 +611,8 @@ def run_attack(
     best = min(results, key=lambda r: (not r.feasible, sign * r.objective))
     statuses = {r.solver_status for r in results}
     status = next((s for s in ("numerical", "iteration_limit") if s in statuses), best.solver_status)
-    return replace(best, iterations=sum(r.iterations for r in results), solver_status=status, basis=start)
+    work = sum(r.iterations for r in results)
+    return replace(best, iterations=work, solver_status=status, basis=start, per_target=tuple(results))
 
 
 def result_to_json(inst: AttackInstance, result: AttackResult, bank: PredictorBank | None = None) -> dict:

@@ -327,20 +327,6 @@ def cmd_attack(cfg: dict) -> int:
         basis = result.basis
         return result
 
-    # Per-critical-sensor objectives at the configured budget.
-    per_sensor = []
-    report_entries = []
-    for s in template.critical:
-        inst = replace(template, critical=(s,))
-        result = certified(inst)
-        per_sensor.append(
-            [bank.name_of(s), repr(float(inst.y[s])), repr(float(result.objective)), result.n_attacked, result.feasible]
-        )
-        report_entries.append(attack_mod.result_to_json(inst, result, bank))
-    _write_csv(
-        attack_dir / "per_sensor.csv", ["sensor", "clean_value", "attacked_value", "n_attacked", "feasible"], per_sensor
-    )
-
     # Budget sweep on the full critical set.  The best point of a smaller
     # budget seeds the iterative attack, so its sweep never gets worse as
     # the budget grows.
@@ -354,18 +340,28 @@ def cmd_attack(cfg: dict) -> int:
         ([b, bank.name_of(r.target), repr(float(r.objective)), r.feasible] for b, r in sweep),
     )
 
-    # Per-timestep attacks over the leading test rows.  The template is
-    # posed at row 0, so that row's attack is the sweep's at the configured
-    # budget, and the chain goes on from its basis.
-    n_rows = min(aspec["rows"], test.n_rows)
+    # The attack at the configured budget is the sweep's entry there, or one
+    # of its own for a budget outside the sweep.  Its per-target attacks
+    # are the per-sensor objectives.
     at_budget = dict(sweep)
+    configured = at_budget[template.budget] if template.budget in at_budget else certified(template)
+    _write_csv(
+        attack_dir / "per_sensor.csv",
+        ["sensor", "clean_value", "attacked_value", "n_attacked", "feasible"],
+        (
+            [bank.name_of(r.target), repr(float(template.y[r.target])), repr(r.objective), r.n_attacked, r.feasible]
+            for r in configured.per_target
+        ),
+    )
+
+    # Per-timestep attacks over the leading test rows.  The template is
+    # posed at row 0, so that row's attack is the configured one, and the
+    # chain goes on from its basis.
+    basis = configured.basis
+    n_rows = min(aspec["rows"], test.n_rows)
     trajectory = []
     for t in range(n_rows):
-        if t == 0 and template.budget in at_budget:
-            result = at_budget[template.budget]
-            basis = result.basis
-        else:
-            result = certified(template.at_row(test.values[t]))
+        result = configured if t == 0 else certified(template.at_row(test.values[t]))
         trajectory.append([t, bank.name_of(result.target), repr(result.objective), result.n_attacked])
     _write_csv(attack_dir / "trajectory.csv", ["t", "target", "objective", "n_attacked"], trajectory)
 
@@ -374,7 +370,9 @@ def cmd_attack(cfg: dict) -> int:
         {
             "budget": aspec["budget"],
             "direction": template.direction.value,
-            "per_target": report_entries,
+            "per_target": [
+                attack_mod.result_to_json(replace(template, critical=(r.target,)), r, bank) for r in configured.per_target
+            ],
             "budget_sweep": [
                 {"budget": b, "target": bank.name_of(r.target), "objective": r.objective, "feasible": r.feasible}
                 for b, r in sweep

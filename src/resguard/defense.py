@@ -57,8 +57,8 @@ class DefenseConfig:
     def __post_init__(self):
         if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.n_max < 1 or self.horizon < 1:
             raise ValueError("n_max and horizon must be positive")
 

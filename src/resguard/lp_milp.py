@@ -338,9 +338,6 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None, start: Basis |
     lp = problem.lp
     binaries = sorted(problem.binary_vars)
     root, nodes_explored = _solve_root(lp, problem.start if start is None else start)
-    if not binaries:
-        root.nodes_explored = nodes_explored
-        return root
     if node_cap is None:
         node_cap = 2 ** min(len(binaries), 40) + 1000
 

@@ -236,6 +236,8 @@ def test_alg1_config_validation():
         dict(epsilon0=0.0, epsilon_min=1e-3),
         dict(epsilon0=math.nan, epsilon_min=1e-3),
         dict(epsilon0=1.0, epsilon_min=math.nan),
+        dict(epsilon0=math.inf, epsilon_min=1e-3),
+        dict(epsilon0=math.inf, epsilon_min=math.inf),
         dict(epsilon0=1.0, epsilon_min=1.0),
         dict(epsilon0=1.0, epsilon_min=1e-3, n_max=0),
     ):
@@ -654,34 +656,42 @@ def test_singular_start_basis_falls_back_to_a_cold_root():
 
 def test_exact_attack_over_targets_equals_the_best_single_target():
     """Paper preset seed 7, test rows 0-1, budgets 1-3: the multi-target
-    exact attack, whose MILPs start from the previous target's root basis, gives
-    the objective and target of the best single-target attack, the earlier
-    target winning a tie."""
+    exact attack, whose MILPs start from the previous target's root basis,
+    keeps one attack per critical target with the single-target attack's
+    objective, and returns the best of them: the objective and target of the
+    best single-target attack, the earlier target winning a tie."""
     data = simulate(paper_scale_config(seed=7), 7200)
     train, test = split_sequential(data, 0.8)
     bank = train_bank(train, family="linear")
     tau = calibrate_baseline(fp_curve(bank, train), 100.0, 5)
     for row in (0, 1):
         for budget in (1, 2, 3):
+            key = (row, budget)
             y = test.values[row]
             multi = run_attack(bank, tau, instance_from_dataset(train, y, budget=budget))
+            assert [r.target for r in multi.per_target] == list(train.critical_columns()), key
             best = None
-            for target in train.critical_columns():
+            for target, own in zip(train.critical_columns(), multi.per_target):
                 single = run_attack(bank, tau, instance_from_dataset(train, y, budget=budget, critical=(target,)))
                 assert single.solver_status == "optimal" and single.feasible
+                tol = 1e-9 * max(1.0, abs(single.objective))
+                assert own.objective == pytest.approx(single.objective, abs=tol), key
                 if best is None or single.objective < best.objective:
                     best = single
-            key = (row, budget)
             assert multi.solver_status == "optimal" and multi.feasible, key
             assert multi.target == best.target, key
             assert multi.objective == pytest.approx(best.objective, abs=1e-9 * max(1.0, abs(best.objective))), key
+            own_best = min(multi.per_target, key=lambda r: (not r.feasible, r.objective))
+            assert (multi.target, multi.objective) == (own_best.target, own_best.objective), key
+            assert np.array_equal(multi.delta, own_best.delta), key
 
 
 def test_iterative_attack_over_targets_equals_the_best_single_target(monkeypatch):
     """Desk tanh preset seed 7, neural bank: the two-target iterative
-    attack gives the target, objective and delta of the best single-target
-    attack, and its ``iterations`` totals the single-target ones, one per
-    trust-region MILP it solved."""
+    attack keeps one attack per critical target, equal to the single-target
+    attack, and returns the best of them: the target, objective and delta of
+    the best single-target attack.  Its ``iterations`` totals the per-target
+    ones, one per trust-region MILP it solved."""
     cfg = desk_config(seed=7, nonlinearity=Nonlinearity.TANH, nonlinear_channels=(0,))
     train, test = split_sequential(simulate(cfg, 1200), 0.8)
     bank = train_bank(train, family="neural", train_cfg=TrainConfig(epochs=2000, seed=7))
@@ -697,14 +707,21 @@ def test_iterative_attack_over_targets_equals_the_best_single_target(monkeypatch
         multi = run_attack(bank, tau, instance_from_dataset(train, y, budget=budget), alg1)
         key = (row, budget)
         assert multi.iterations == len(solves), key
+        assert multi.iterations == sum(r.iterations for r in multi.per_target), key
         singles = [
             run_attack(bank, tau, instance_from_dataset(train, y, budget=budget, critical=(target,)), alg1)
             for target in train.critical_columns()
         ]
+        assert [r.target for r in multi.per_target] == list(train.critical_columns()), key
+        for own, single in zip(multi.per_target, singles):
+            assert (own.target, own.objective, own.feasible) == (single.target, single.objective, single.feasible), key
+            assert np.array_equal(own.delta, single.delta), key
         best = min(singles, key=lambda r: (not r.feasible, r.objective))
         assert multi.iterations == sum(single.iterations for single in singles), key
         assert (multi.target, multi.objective, multi.feasible) == (best.target, best.objective, best.feasible), key
         assert np.array_equal(multi.delta, best.delta), key
+        own_best = min(multi.per_target, key=lambda r: (not r.feasible, r.objective))
+        assert (multi.target, multi.objective) == (own_best.target, own_best.objective), key
 
 
 def test_attack_linear_from_a_foreign_basis_matches_the_no_op_start():

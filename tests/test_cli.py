@@ -99,6 +99,22 @@ def test_defense_report_guarantees(pipeline_dir):
     assert report["final_worst_impact"] <= report["baseline_worst_impact"] + 1e-9
 
 
+def test_defend_refuses_an_infinite_threshold_step(pipeline_dir, tmp_path):
+    """``defense.epsilon: Infinity`` loads, as any float setting may be
+    infinite, but a search whose step is infinite can never move: ``defend``
+    exits with a config error before writing its report."""
+    out, cfg_path = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    shutil.rmtree(run / "defense")
+    config = json.loads(cfg_path.read_text())
+    config["defense"]["epsilon"] = math.inf
+    inf_path = tmp_path / "config.json"
+    inf_path.write_text(json.dumps(config))
+    assert main(["defend", "--config", str(inf_path), "--out", str(run)]) == EXIT_CONFIG
+    assert not (run / "defense" / "report.json").exists()
+
+
 def test_dependency_error_exit_code(tmp_path):
     cfg = {"version": 1, "output_dir": str(tmp_path / "empty")}
     cfg_path = tmp_path / "c.json"
@@ -325,9 +341,17 @@ def test_plant_overrides_given_as_plain_json(tmp_path):
     assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
 
 
+def _best_per_sensor_row(path: Path) -> dict:
+    """The row of ``per_sensor.csv`` with the lowest attacked value, the
+    earlier sensor winning a tie."""
+    with open(path, newline="") as fh:
+        return min(csv.DictReader(fh), key=lambda rec: float(rec["attacked_value"]))
+
+
 def test_trajectory_row_0_is_the_sweep_at_the_configured_budget(pipeline_dir, tmp_path, monkeypatch):
-    """The template is posed at test row 0, so trajectory row 0 and the
-    sweep's entry at the configured budget are one attack, solved once."""
+    """The template is posed at test row 0, so trajectory row 0, the sweep's
+    entry at the configured budget and the best per-sensor row are one
+    attack, solved once."""
     out, cfg_path = pipeline_dir
     run = tmp_path / "run"
     shutil.copytree(out, run)
@@ -335,12 +359,14 @@ def test_trajectory_row_0_is_the_sweep_at_the_configured_budget(pipeline_dir, tm
     real = attack.run_attack
     monkeypatch.setattr(attack, "run_attack", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     assert main(["attack", "--config", str(cfg_path), "--out", str(run)]) == EXIT_OK
-    assert len(calls) == 2 + 4 + 4 - 1  # per sensor, sweep, trajectory rows but row 0
+    assert len(calls) == 4 + 4 - 1  # sweep, trajectory rows but row 0
     with open(run / "attack" / "budget_sweep.csv", newline="") as fh:
         sweep = {int(rec["budget"]): rec for rec in csv.DictReader(fh)}
     with open(run / "attack" / "trajectory.csv", newline="") as fh:
         row0 = next(csv.DictReader(fh))
     assert (row0["target"], row0["objective"]) == (sweep[2]["target"], sweep[2]["objective"])
+    best = _best_per_sensor_row(run / "attack" / "per_sensor.csv")
+    assert (best["sensor"], best["attacked_value"]) == (sweep[2]["target"], sweep[2]["objective"])
     for name in ("budget_sweep.csv", "trajectory.csv"):
         assert (run / "attack" / name).read_text() == (out / "attack" / name).read_text()
 
@@ -406,7 +432,7 @@ def test_neural_budget_sweep_never_gets_worse(tmp_path, monkeypatch):
         attack, "run_attack", lambda *args, **kwargs: calls.append((args, kwargs, real(*args, **kwargs))) or calls[-1][2]
     )
     assert main(["attack", "--config", str(cfg_path)]) == EXIT_OK
-    sweep = calls[2:6]  # after the two per-sensor attacks
+    sweep = calls[0:4]
     assert [args[2].budget for args, _, _ in sweep] == [1, 2, 3, 4]
     objectives = [result.objective for _, _, result in sweep]
     assert all(b <= a for a, b in zip(objectives, objectives[1:])), objectives
@@ -416,6 +442,9 @@ def test_neural_budget_sweep_never_gets_worse(tmp_path, monkeypatch):
         assert attack.stealth_margin(bank, tau, result.y_tilde) <= attack.STEALTH_TOL
     with open(tmp_path / "run" / "attack" / "budget_sweep.csv", newline="") as fh:
         assert [float(rec["objective"]) for rec in csv.DictReader(fh)] == objectives
+    bank, at_2 = sweep[1][0][0], sweep[1][2]
+    best = _best_per_sensor_row(tmp_path / "run" / "attack" / "per_sensor.csv")
+    assert (best["sensor"], best["attacked_value"]) == (bank.name_of(at_2.target), repr(at_2.objective))
 
 
 def _drop(key):

@@ -222,3 +222,5 @@ def test_defense_config_validation():
         DefenseConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         DefenseConfig(epsilon=float("nan"))
+    with pytest.raises(ValueError):
+        DefenseConfig(epsilon=float("inf"))
