@@ -252,10 +252,18 @@ def build_attack_milp(
     activation ``|delta| <= M alpha`` (a pair per attackable sensor, both
     signs, otherwise negative perturbations would not consume budget), and
     the budget row.  A nonlinear bank needs a finite trust region, which
-    tightens the delta bounds to ``center +- trust_radius``.  When those
-    bounds exclude 0 the sensor must be perturbed, so its ``alpha`` gets
-    lower bound 1; the feasible set stays the same, and more such sensors
-    than the budget make the root LP infeasible at once.
+    tightens the delta bounds to ``center +- trust_radius``.
+
+    Two presolves keep the optimum.  A sensor whose delta bounds exclude 0
+    must be perturbed, so its ``alpha`` gets lower bound 1 (more such
+    sensors than the budget make the root LP infeasible at once).  While
+    the no-op is feasible (budget at least 1, target attackable, every
+    delta bound holding 0, every detector right-hand side >= 0), the
+    target's activation is paid up front: the budget row leaves out its
+    ``alpha``, which is not binary, and has right-hand side ``budget - 1``.
+    An attack that leaves the target alone scores 0, as the no-op does,
+    and one that moves it pays in full, where the relaxation of
+    ``|delta| <= M alpha`` would charge only part.
 
     The problem starts at the no-op attack ``delta = alpha = 0``: each
     attackable delta is basic in its row ``delta - M alpha <= 0`` and every
@@ -327,6 +335,15 @@ def build_attack_milp(
     # Presolve: a sensor whose delta box excludes 0 is attacked.
     forced = (dlo[attackable] > 0.0) | (dhi[attackable] < 0.0)
     lower[d + att[forced]] = 1.0
+    # Presolve: while the no-op is feasible, the target's activation is paid
+    # up front.
+    binary = d + att
+    no_op_feasible = not forced.any() and (rhs[: 2 * n_det] >= 0.0).all()
+    if inst.budget >= 1 and target in inst.attackable and no_op_feasible:
+        paid = d + pos[target]
+        A[-1, paid] = 0.0
+        rhs[-1] -= 1.0
+        binary = binary[binary != paid]
 
     objective = np.zeros(n)
     objective[pos[target]] = inst.direction.sign
@@ -334,7 +351,7 @@ def build_attack_milp(
     N = n + A.shape[0]
     basic = np.arange(n, N)
     basic[act] = att
-    return MILPProblem(lp, frozenset((d + att).tolist()), Basis(basic, np.zeros(N, dtype=bool)))
+    return MILPProblem(lp, frozenset(binary.tolist()), Basis(basic, np.zeros(N, dtype=bool)))
 
 
 def _delta(inst: AttackInstance, x: np.ndarray) -> np.ndarray:
@@ -603,8 +620,10 @@ def run_attack(
 
     results = []
     for target in inst.critical:
-        # Exact targets differ only in the objective, so the previous
-        # target's root vertex is primal feasible here.
+        # Exact targets differ in the objective and, where the target's
+        # activation is paid, in the budget row, so the previous target's
+        # root basis is a start of the same shape; phase 1 repairs it when
+        # it is not primal feasible here.
         results.append(attack(target, start))
         start = results[-1].basis
     sign = inst.direction.sign

@@ -312,11 +312,13 @@ def _attack_setup(cfg: dict, out: Path):
 
 
 def cmd_attack(cfg: dict) -> int:
+    aspec = cfg["attack"]
+    if aspec["rows"] < 1:
+        raise ConfigError(f"attack.rows must be at least 1, not {aspec['rows']}")
     out = _out_dir(cfg)
     train, test, bank, tau, template, alg1 = _attack_setup(cfg, out)
     attack_dir = out / "attack"
     attack_dir.mkdir(parents=True, exist_ok=True)
-    aspec = cfg["attack"]
     # Every attack of this stage poses the same-shape MILP, so each starts
     # from the root basis of the one before (exact attacks only).
     basis = None
@@ -329,11 +331,14 @@ def cmd_attack(cfg: dict) -> int:
 
     # Budget sweep on the full critical set.  The best point of a smaller
     # budget seeds the iterative attack, so its sweep never gets worse as
-    # the budget grows.
+    # the budget grows.  A repeated budget reuses its first attack.
     sweep = []
+    at_budget = {}
     for b in aspec["budgets"]:
-        seeds = [sweep[-1][1].y_tilde] if sweep and sweep[-1][0] <= b else []
-        sweep.append((b, certified(replace(template, budget=b), seeds)))
+        if b not in at_budget:
+            seeds = [sweep[-1][1].y_tilde] if sweep and sweep[-1][0] <= b else []
+            at_budget[b] = certified(replace(template, budget=b), seeds)
+        sweep.append((b, at_budget[b]))
     _write_csv(
         attack_dir / "budget_sweep.csv",
         ["budget", "target", "objective", "feasible"],
@@ -343,7 +348,6 @@ def cmd_attack(cfg: dict) -> int:
     # The attack at the configured budget is the sweep's entry there, or one
     # of its own for a budget outside the sweep.  Its per-target attacks
     # are the per-sensor objectives.
-    at_budget = dict(sweep)
     configured = at_budget[template.budget] if template.budget in at_budget else certified(template)
     _write_csv(
         attack_dir / "per_sensor.csv",

@@ -22,8 +22,9 @@ the root basis of a related MILP solved before it, which every solve
 returns in ``MILPSolution.basis``.  A start that is singular for the rows,
 or whose root ends ``NUMERICAL``, is retried once cold.  Each child is
 warm-started from its parent's final basis, since the two differ by one
-bound; the parent's basis is factored once for both children.  A vertex that fails ``check_solution`` is reported as
-``NUMERICAL``, never as ``OPTIMAL``.
+bound; the parent's basis is factored once for both children.  A vertex
+that fails ``check_solution`` is reported as ``NUMERICAL``, never as
+``OPTIMAL``.
 
 Sizes here are a few hundred variables at most, so everything is dense.
 """

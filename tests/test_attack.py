@@ -26,7 +26,17 @@ from resguard.detector import (
     residuals,
     train_bank,
 )
-from resguard.lp_milp import LE, Basis, Constraint, MILPProblem, MILPSolution, Status, check_solution, solve_milp
+from resguard.lp_milp import (
+    LE,
+    Basis,
+    Constraint,
+    LinearProgram,
+    MILPProblem,
+    MILPSolution,
+    Status,
+    check_solution,
+    solve_milp,
+)
 from resguard.models import EnsembleModel, LinearModel, NeuralModel, TrainConfig, predict_batch, taylor_linearize
 from resguard.oracle import oracle_attack_enumerate, oracle_attack_grid
 from resguard.plant import Nonlinearity, desk_config, paper_scale_config, simulate, split_sequential
@@ -843,9 +853,163 @@ def test_forced_activations_are_presolved_exactly():
     assert {(True, Status.INFEASIBLE), (False, Status.INFEASIBLE), (False, Status.OPTIMAL)} <= outcomes
 
 
-def _reference_rows(bank, tau, inst, trust_radius=None, center=None):
+def _charged(problem, inst, target):
+    """``problem`` with the target's activation charged to the budget row
+    and binary again: the encoding without the paid-activation presolve."""
+    lp = problem.lp
+    j = len(inst.sensor_columns) + inst.sensor_columns.index(target)
+    if j in problem.binary_vars or target not in inst.attackable:
+        return problem  # nothing was paid
+    A, b = lp.A.copy(), lp.b.copy()
+    A[-1, j] = 1.0
+    b[-1] += 1.0
+    return MILPProblem(LinearProgram(lp.objective, A, b, lp.lower, lp.upper), problem.binary_vars | {j})
+
+
+def test_paid_target_activation_is_exact():
+    """On random attacks the presolved MILP reaches HiGHS's optimum of the
+    MILP with the target's activation charged and binary, and its point,
+    with that activation set to 1 where the target moves, is feasible
+    there.  The affine cases cover both directions, finite and infinite
+    ``eta``, and the guard's off cases: a clean row that alarms, budget 0
+    and a target that cannot be attacked.  The trust-region cases on tanh
+    banks are centred within ``eps`` of ``y`` or, forcing activations,
+    beyond it."""
+    rng = np.random.default_rng(409)
+    cases = []
+    for trial in range(60):
+        bank, tau, inst = random_linear_setup(rng, n_critical=2, all_finite_eta=trial % 2 == 0)
+        d = inst.y.size
+        kind = ("plain", "maximize", "alarm", "budget 0", "frozen target")[trial % 5]
+        if kind == "maximize":
+            inst = replace(inst, direction=Direction.MAXIMIZE)
+        elif kind == "alarm":
+            s = bank.detector_set[0]
+            tau = ThresholdConfig({**tau.tau, s: 0.5 * residuals(bank, inst.y)[s]})
+        elif kind == "budget 0":
+            inst = replace(inst, budget=0)
+        elif kind == "frozen target":
+            inst = replace(inst, attackable=frozenset(range(d)) - {inst.critical[0]}, budget=min(inst.budget, d - 1))
+        cases += [(kind, bank, tau, inst, target, None, None) for target in inst.critical]
+    eps = 0.3
+    for trial in range(30):
+        d = int(rng.integers(2, 5))
+        bank = _tanh_bank(rng, d)
+        y = rng.normal(0.0, 0.3, d)
+        tau = ThresholdConfig({s: r + float(rng.uniform(0.2, 1.0)) for s, r in residuals(bank, y).items()})
+        budget = int(rng.integers(1, d + 1))
+        inst = AttackInstance(y=y, sensor_columns=tuple(range(d)), critical=(0,), budget=budget, eta=2.0)
+        center = y + rng.uniform(-eps, eps, d)
+        kind = "trust region"
+        if trial % 2:
+            kind = "forced"
+            moved = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+            center[moved] = y[moved] + rng.choice([-1.0, 1.0], moved.size) * rng.uniform(eps + 0.05, 0.8, moved.size)
+        cases.append((kind, bank, tau, inst, 0, eps, center))
+
+    kinds = set()
+    for kind, bank, tau, inst, target, radius, center in cases:
+        d = inst.y.size
+        problem = build_attack_milp(bank, tau, inst, target, trust_radius=radius, center=center)
+        j = d + target
+        paid = j not in problem.binary_vars
+        charged = _charged(problem, inst, target)
+        ref = highs_milp(charged)
+        sol = solve_milp(problem)
+        kinds.add((kind, paid, sol.status))
+        if ref.status == 2:  # infeasible
+            assert sol.status == Status.INFEASIBLE
+            continue
+        assert ref.status == 0, ref.message
+        assert sol.status == Status.OPTIMAL
+        assert sol.objective == pytest.approx(ref.fun, abs=1e-6 * max(1.0, abs(ref.fun)))
+        x = sol.x.copy()
+        if paid:
+            x[j] = float(abs(x[target]) > 1e-9)
+        assert check_solution(charged.lp, x) <= 1e-7
+        assert all(abs(x[k] - round(x[k])) <= 1e-6 for k in charged.binary_vars)
+    assert {("plain", True, Status.OPTIMAL), ("maximize", True, Status.OPTIMAL)} <= kinds
+    assert {("alarm", False, Status.OPTIMAL), ("alarm", False, Status.INFEASIBLE)} <= kinds
+    assert {("budget 0", False, Status.OPTIMAL), ("frozen target", False, Status.OPTIMAL)} <= kinds
+    assert {("trust region", True, Status.OPTIMAL), ("forced", False, Status.OPTIMAL)} <= kinds
+    assert ("forced", False, Status.INFEASIBLE) in kinds
+
+
+def test_paid_target_activation_matches_enumeration_on_the_desk_preset():
+    """Desk preset seed 7, test rows 0-2, budgets 1-3: each target's exact
+    attack, whose MILP pays the target's activation up front, equals support
+    enumeration."""
+    train, test = split_sequential(simulate(desk_config(seed=7), 1200), 0.8)
+    bank = train_bank(train, family="linear")
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
+    for row in range(3):
+        for budget in (1, 2, 3):
+            inst = instance_from_dataset(train, test.values[row], budget=budget)
+            result = run_attack(bank, tau, inst)
+            for own in result.per_target:
+                problem = build_attack_milp(bank, tau, inst, own.target)
+                j = len(inst.sensor_columns) + inst.sensor_columns.index(own.target)
+                assert j not in problem.binary_vars
+                oracle = oracle_attack_enumerate(bank, tau, inst, own.target)
+                assert own.objective == pytest.approx(oracle, abs=1e-6 * max(1.0, abs(oracle))), (row, budget)
+                assert own.feasible and own.solver_status == "optimal"
+                assert_result_invariants(own, inst)
+
+
+def test_paid_target_activation_fires_exactly_when_its_guard_holds():
+    """The budget row leaves out the target's ``alpha``, charges 1 for it
+    and the ``alpha`` is not binary exactly when the budget is positive,
+    the target is attackable, every delta bound holds 0 and the clean row
+    passes every detector row; otherwise the row and binaries are plain."""
+    rng = np.random.default_rng(410)
+    seen = set()
+    for trial in range(40):
+        if trial % 2:
+            bank, tau, inst = random_linear_setup(rng, n_critical=1)
+            eps = center = None
+        else:
+            d = int(rng.integers(2, 5))
+            bank = _tanh_bank(rng, d)
+            y = rng.normal(0.0, 0.3, d)
+            tau = ThresholdConfig({s: r + 0.5 for s, r in residuals(bank, y).items()})
+            budget = int(rng.integers(0, d + 1))
+            inst = AttackInstance(y=y, sensor_columns=tuple(range(d)), critical=(0,), budget=budget, eta=2.0)
+            eps, center = 0.3, y + rng.uniform(-0.4, 0.4, d)
+        d = inst.y.size
+        target = inst.critical[0]
+        if trial % 5 == 1:
+            s = bank.detector_set[0]
+            tau = ThresholdConfig({**tau.tau, s: 0.5 * residuals(bank, inst.y)[s]})
+        if trial % 7 == 3:
+            inst = replace(inst, attackable=frozenset(range(d)) - {target}, budget=min(inst.budget, d - 1))
+            if center is not None:
+                center[target] = inst.y[target]  # a frozen sensor's centre is its reading
+        problem = build_attack_milp(bank, tau, inst, target, trust_radius=eps, center=center)
+        lp = problem.lp
+        n_det = len(bank.detector_set)
+        attackable = [d + s for s in sorted(inst.attackable)]
+        box_holds_0 = eps is None or bool(np.all(np.abs(center - inst.y) <= eps))
+        detector_rows = _reference_rows(bank, tau, inst, target, eps, center)[: 2 * n_det]
+        clean_passes = all(row.rhs >= 0.0 for row in detector_rows)
+        guard = inst.budget >= 1 and target in inst.attackable and box_holds_0 and clean_passes
+        seen.add((inst.budget >= 1, target in inst.attackable, box_holds_0, clean_passes))
+        expected = np.zeros(2 * d)
+        expected[attackable] = 1.0
+        if guard:
+            expected[d + target] = 0.0
+        assert np.array_equal(lp.A[-1], expected)
+        assert lp.b[-1] == inst.budget - guard
+        assert problem.binary_vars == frozenset(attackable) - ({d + target} if guard else set())
+    # Every part of the guard fails alone in some case, and all hold in some.
+    all_hold = (True,) * 4
+    assert {all_hold} | {all_hold[:k] + (False,) + all_hold[k + 1 :] for k in range(4)} <= seen
+
+
+def _reference_rows(bank, tau, inst, target, trust_radius=None, center=None):
     """The attack MILP's rows built one ``Constraint`` at a time: the loop
-    reference for the matrix build."""
+    reference for the matrix build.  The budget row leaves out an
+    attackable target's ``alpha`` and charges 1 for it when the budget is
+    positive and the no-op passes every row and delta bound."""
     sensors = inst.sensor_columns
     pos = {s: i for i, s in enumerate(sensors)}
     d, y = len(sensors), inst.y
@@ -876,9 +1040,11 @@ def _reference_rows(bank, tau, inst, trust_radius=None, center=None):
             row[i] = sign
             row[d + i] = -max(abs(dlo[s]), abs(dhi[s]))
             rows.append(Constraint(row, LE, 0.0))
+    no_op_feasible = all(c.rhs >= 0.0 for c in rows) and all(dlo[s] <= 0.0 <= dhi[s] for s in sensors)
+    paid = inst.budget >= 1 and target in inst.attackable and no_op_feasible
     row = np.zeros(2 * d)
-    row[[d + pos[s] for s in inst.attackable]] = 1.0
-    rows.append(Constraint(row, LE, float(inst.budget)))
+    row[[d + pos[s] for s in inst.attackable if not (paid and s == target)]] = 1.0
+    rows.append(Constraint(row, LE, float(inst.budget) - paid))
     return rows
 
 
@@ -904,7 +1070,7 @@ def test_attack_milp_matrix_equals_row_by_row_build():
         cases.append((bank, tau, inst, 0.3, y + rng.uniform(-0.6, 0.6, d)))
     for bank, tau, inst, eps, center in cases:
         lp = build_attack_milp(bank, tau, inst, inst.critical[0], trust_radius=eps, center=center).lp
-        reference = _reference_rows(bank, tau, inst, eps, center)
+        reference = _reference_rows(bank, tau, inst, inst.critical[0], eps, center)
         assert len(lp.constraints) == len(reference)
         for got, want in zip(lp.constraints, reference):
             assert got.sense == want.sense and got.rhs == want.rhs

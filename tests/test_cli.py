@@ -371,6 +371,53 @@ def test_trajectory_row_0_is_the_sweep_at_the_configured_budget(pipeline_dir, tm
         assert (run / "attack" / name).read_text() == (out / "attack" / name).read_text()
 
 
+def _attack_config(cfg_path: Path, tmp_path: Path, **attack_spec) -> Path:
+    """The pipeline's config with ``attack_spec`` merged into its attack
+    section, written next to ``tmp_path``."""
+    config = json.loads(cfg_path.read_text())
+    config["attack"].update(attack_spec)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def test_repeated_budget_reuses_its_attack(pipeline_dir, tmp_path, monkeypatch):
+    """A budget listed again in ``attack.budgets`` is attacked once: its
+    sweep rows are the same line, and the stage makes one ``run_attack``
+    call per distinct budget and per trajectory row after row 0."""
+    out, cfg_path = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    calls = []
+    real = attack.run_attack
+    monkeypatch.setattr(
+        attack, "run_attack", lambda *args, **kwargs: calls.append(args[2].budget) or real(*args, **kwargs)
+    )
+    cfg = _attack_config(cfg_path, tmp_path, budgets=[1, 1, 2, 1])
+    assert main(["attack", "--config", str(cfg), "--out", str(run)]) == EXIT_OK
+    assert calls == [1, 2] + [2] * (4 - 1)  # distinct budgets, trajectory rows but row 0
+    with open(run / "attack" / "budget_sweep.csv", newline="") as fh:
+        sweep = list(csv.DictReader(fh))
+    assert [rec["budget"] for rec in sweep] == ["1", "1", "2", "1"]
+    assert sweep[0] == sweep[1] == sweep[3]
+    report = json.loads((run / "attack" / "attack_report.json").read_text())["budget_sweep"]
+    assert report[0] == report[1] == report[3]
+
+
+@pytest.mark.parametrize("rows", [0, -1])
+def test_attack_refuses_rows_below_one(pipeline_dir, tmp_path, capsys, rows):
+    """``attack.rows`` below 1 is a config error naming the key, and the
+    stage writes nothing."""
+    out, cfg_path = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    shutil.rmtree(run / "attack")
+    cfg = _attack_config(cfg_path, tmp_path, rows=rows)
+    assert main(["attack", "--config", str(cfg), "--out", str(run)]) == EXIT_CONFIG
+    assert "attack.rows" in capsys.readouterr().err
+    assert not (run / "attack").exists()
+
+
 def test_defense_scores_each_threshold_vector_once(tmp_path, monkeypatch):
     """The benchmark's pipeline config at desk seed 10: candidates 1, 3 and 5
     are one threshold vector, scored once, and the trace keeps the worst
