@@ -15,7 +15,7 @@ than enter an impact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -78,25 +78,23 @@ def impact(
     alg1: Alg1Config | None = None,
 ) -> ImpactReport:
     """Per-critical-sensor impact: mean |y_tilde_s - y_s| of the optimal
-    single-target stealthy attack over the trajectory rows.
+    stealthy attack on target ``s`` over the trajectory rows.
 
-    ``trajectory`` is a :class:`Dataset` or a plain row matrix.  Each
-    attack passes through ``attack.certify``, so one the solver cannot back
-    up raises ``SolverLimitError`` or ``NumericalError``.  The attacks pose
-    same-shape MILPs, so each starts from the root basis of the one before.
+    ``trajectory`` is a :class:`Dataset` or a plain row matrix.  Each row
+    gets one ``run_attack``, and each of its ``per_target`` attacks passes
+    through ``attack.certify``, so one the solver cannot back up raises
+    ``SolverLimitError`` or ``NumericalError``.  The rows pose same-shape
+    MILPs, so each row's attack starts from the root basis of the row before.
     """
     rows = _trajectory_values(trajectory)
     basis = None
-    per = {}
-    for s in inst_template.critical:
-        single = replace(inst_template, critical=(s,))
-        deviations = []
-        for row in rows:
-            result = certify(run_attack(bank, tau, single.at_row(row), alg1, start=basis))
-            basis = result.basis
-            deviations.append(abs(result.y_tilde[s] - row[s]))
-        per[s] = float(np.mean(deviations))
-    return ImpactReport(per)
+    deviations = {s: [] for s in inst_template.critical}
+    for row in rows:
+        result = run_attack(bank, tau, inst_template.at_row(row), alg1, start=basis)
+        basis = result.basis
+        for r in map(certify, result.per_target):
+            deviations[r.target].append(abs(r.y_tilde[r.target] - row[r.target]))
+    return ImpactReport({s: float(np.mean(d)) for s, d in deviations.items()})
 
 
 def total_false_alarms(bank: PredictorBank, tau: ThresholdConfig, clean: Dataset) -> int:

@@ -161,7 +161,7 @@ class PlantConfig:
         coupling = np.asarray(coupling, dtype=float)
         if coupling.shape != (d, d):
             raise ValueError(f"coupling must be {d}x{d}")
-        if nonlinearity == Nonlinearity.NONE:
+        if nonlinearity == Nonlinearity.NONE or not self.nonlinear_channels:
             radius = max(abs(np.linalg.eigvals(coupling)))
             if radius >= 1.0:
                 raise ValueError(f"coupling spectral radius {radius:.3f} >= 1")

@@ -312,8 +312,9 @@ def test_attack_and_defend_refuse_an_attack_they_cannot_back_up(
 
 def test_plant_overrides_given_as_plain_json(tmp_path):
     """Overrides arrive from JSON as strings and lists; ``simulate`` writes
-    the same data as the library call with enum and array values, and an
-    unknown nonlinearity is a config error."""
+    the same data as the library call with enum and array values.  An
+    unknown nonlinearity is a config error, and so is an expanding coupling
+    when no channel is nonlinear (the plant is then linear)."""
     overrides = {
         "nonlinearity": "tanh",
         "nonlinear_channels": [0, 3],
@@ -336,9 +337,10 @@ def test_plant_overrides_given_as_plain_json(tmp_path):
     plant.save_csv(plant.simulate(pconf, 200), tmp_path / "lib.csv", tmp_path / "lib.roles.json")
     assert (tmp_path / "cli" / "data" / "clean.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
-    config["plant"]["overrides"] = {"nonlinearity": "bogus"}
-    cfg_path.write_text(json.dumps(config))
-    assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
+    for bad in ({"nonlinearity": "bogus"}, {"nonlinearity": "tanh", "coupling": (1.3 * np.eye(8)).tolist()}):
+        config["plant"]["overrides"] = bad
+        cfg_path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
 
 
 def _best_per_sensor_row(path: Path) -> dict:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from _helpers import constant_bank, random_linear_setup
-from resguard.attack import AttackInstance, instance_from_dataset, run_attack
+from resguard import attack, defense
+from resguard.attack import (
+    AttackInstance,
+    NumericalError,
+    default_alg1_config,
+    instance_from_dataset,
+    run_attack,
+)
 from resguard.defense import (
     DefenseConfig,
     ImpactReport,
@@ -19,8 +26,9 @@ from resguard.detector import (
     fp_curve,
     train_bank,
 )
+from resguard.models import TrainConfig
 from resguard.oracle import oracle_attack_enumerate
-from resguard.plant import Column, Dataset, Role, desk_config, simulate, split_sequential
+from resguard.plant import Column, Dataset, Nonlinearity, Role, desk_config, simulate, split_sequential
 
 
 def _rows_dataset(rows):
@@ -195,9 +203,9 @@ def test_detectors_on_untargeted_sensors_pay_back_false_alarms():
 
 
 def test_chained_impact_equals_attacks_from_the_no_op_start():
-    """``impact`` starts each (sensor, row) attack from the root basis of
-    the one before; its per-sensor means equal those of the same attacks
-    each solved from the no-op vertex, at several thresholds."""
+    """``impact`` starts each row's attack from the root basis of the row
+    before; its per-sensor means equal those of single-target attacks each
+    solved from the no-op vertex, at several thresholds."""
     data = simulate(desk_config(seed=7), 1200)
     train, test = split_sequential(data, 0.8)
     bank = train_bank(train)
@@ -211,6 +219,58 @@ def test_chained_impact_equals_attacks_from_the_no_op_start():
             single = replace(inst, critical=(s,))
             fresh = [run_attack(bank, scaled, single.at_row(row)).y_tilde[s] - row[s] for row in rows]
             assert chained.per_sensor[s] == pytest.approx(float(np.mean(np.abs(fresh))), abs=1e-9)
+
+
+def test_impact_attacks_each_row_once_on_a_neural_bank(monkeypatch):
+    """Desk tanh preset seed 7, neural bank, horizon 3: ``impact`` makes one
+    ``run_attack`` call, and so builds one probe lattice, per row; each
+    per-sensor value is the mean over rows of the single-target attacks."""
+    cfg = desk_config(seed=7, nonlinearity=Nonlinearity.TANH, nonlinear_channels=(0,))
+    train, test = split_sequential(simulate(cfg, 1200), 0.8)
+    bank = train_bank(train, family="neural", train_cfg=TrainConfig(epochs=400, seed=7))
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
+    alg1 = default_alg1_config(train, n_max=20)
+    inst = instance_from_dataset(train, test.values[0], budget=1)
+    rows = test.values[:3]
+    calls = {"run_attack": 0, "_probe_seeds": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(defense, "run_attack")
+    counted(attack, "_probe_seeds")
+    report = impact(bank, tau, rows, inst, alg1)
+    assert calls == {"run_attack": len(rows), "_probe_seeds": len(rows)}
+    monkeypatch.undo()
+    assert list(report.per_sensor) == list(inst.critical)
+    for s in inst.critical:
+        single = replace(inst, critical=(s,))
+        deviations = [abs(run_attack(bank, tau, single.at_row(row), alg1).y_tilde[s] - row[s]) for row in rows]
+        assert report.per_sensor[s] == float(np.mean(deviations))
+
+
+def test_impact_certifies_every_target_not_only_the_best(monkeypatch):
+    """A non-stealthy ``optimal`` attack on a target that is not the row's
+    best is a certificate failure, though the best attack passes."""
+    bank, tau = constant_bank(3, (0, 1), values=(0.0, 0.0), taus=(5.0, 5.0))
+    inst = AttackInstance(y=np.zeros(3), sensor_columns=(0, 1, 2), critical=(0, 1), budget=1)
+    real = defense.run_attack
+
+    def unstealthy_second_target(*args, **kwargs):
+        result = real(*args, **kwargs)
+        good, other = result.per_target
+        bad = replace(other, feasible=False, solver_status="optimal")
+        return replace(good, per_target=(good, bad))
+
+    monkeypatch.setattr(defense, "run_attack", unstealthy_second_target)
+    with pytest.raises(NumericalError):
+        impact(bank, tau, np.zeros((2, 3)), inst)
 
 
 def test_defense_config_validation():

@@ -48,14 +48,14 @@ def test_simulate_different_seed_differs():
 
 
 def test_instability_error():
-    # Radius check is skipped off the pure-linear path, so an expanding map
-    # must be caught at runtime.
+    # Radius check is skipped when a channel is nonlinear, so an expanding
+    # map must be caught at runtime.
     cfg = PlantConfig(
         n_sensors=2,
         coupling=2.0 * np.eye(2),
         noise_std=1.0,
         nonlinearity=Nonlinearity.TANH,
-        nonlinear_channels=(),
+        nonlinear_channels=(0,),
         seed=0,
     )
     with pytest.raises(InstabilityError):
@@ -63,8 +63,10 @@ def test_instability_error():
 
 
 def test_unstable_coupling_rejected_upfront():
-    with pytest.raises(ValueError, match="spectral radius"):
-        PlantConfig(n_sensors=2, coupling=1.5 * np.eye(2), nonlinearity=Nonlinearity.NONE)
+    # A nonlinearity with no channel to apply it to leaves the plant linear.
+    for nonlinearity in (Nonlinearity.NONE, Nonlinearity.TANH):
+        with pytest.raises(ValueError, match="spectral radius"):
+            PlantConfig(n_sensors=2, coupling=1.5 * np.eye(2), nonlinearity=nonlinearity)
 
 
 def test_simulate_requires_two_steps():
