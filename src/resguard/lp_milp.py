@@ -14,17 +14,20 @@ structural variable at its lower bound (cold), or any other basis, which
 is refactorized.
 
 ``solve_milp`` wraps it in branch-and-bound over the binary variables with
-best-bound node selection and most-fractional branching.  The root starts
-from the basis passed to ``solve_milp``, else from the problem's own
-starting basis when it has one, else cold.  That basis may be any basis of
-an LP with the same rows and columns: the attack MILP's no-op attack, or
-the root basis of a related MILP solved before it, which every solve
-returns in ``MILPSolution.basis``.  A start that is singular for the rows,
-or whose root ends ``NUMERICAL``, is retried once cold.  Each child is
+best-bound node selection.  The root starts from the basis passed to
+``solve_milp``, else from the problem's own starting basis when it has
+one, else cold.  That basis may be any basis of an LP with the same rows
+and columns: the attack MILP's no-op attack, or the root basis of a
+related MILP solved before it, which every solve returns in
+``MILPSolution.basis``.  A start that is singular for the rows, or whose
+root ends ``NUMERICAL``, is retried once cold.  Each child is
 warm-started from its parent's final basis, since the two differ by one
-bound; the parent's basis is factored once for both children.  A vertex
-that fails ``check_solution`` is reported as ``NUMERICAL``, never as
-``OPTIMAL``.
+bound; the parent's basis is factored once for both children.  That
+tableau also picks the binary to branch on: the one with the largest
+product of Driebeek's one-pivot penalties, lower bounds on each child's
+objective increase.  Penalties only order the search, so answers stay
+exact.  A vertex that fails ``check_solution`` is reported as
+``NUMERICAL``, never as ``OPTIMAL``.
 
 Sizes here are a few hundred variables at most, so everything is dense.
 """
@@ -293,13 +296,56 @@ def solve_lp(
                 stall, bland = 0, False
 
 
-def _most_fractional(x: np.ndarray, binaries: list[int]) -> tuple[int, float]:
-    best, best_frac = -1, -1.0
-    for j in binaries:
-        frac = abs(x[j] - round(x[j]))
-        if frac > best_frac + 1e-15:
-            best, best_frac = j, frac
-    return best, best_frac
+def _branch_var(
+    lp: LinearProgram,
+    tableau: np.ndarray,
+    basis: Basis,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    candidates: np.ndarray,
+    values: np.ndarray,
+) -> int:
+    """The fractional binary to branch on, by Driebeek's one-pivot penalties.
+
+    ``candidates`` are the node's fractional binaries and ``values`` their
+    values, ``tableau`` is the node's ``basis`` factored by ``_factor``, and
+    ``lo``, ``hi`` are the node's bounds.  Driving a basic binary at ``f``
+    down to 0 (up to 1) must move some nonbasic column off its bound; the
+    cheapest such pivot, priced at that column's reduced cost, is a lower
+    bound ``D`` (``U``) on the child's objective increase.  A child that no
+    column can reach is infeasible: penalty 1e30.  The largest
+    ``max(D, 1e-6) * max(U, 1e-6)`` wins; ties go to the most fractional,
+    then to the lowest index.  When every reduced cost is 0 the penalties
+    say nothing, and the tie rules alone decide.
+    """
+    m, n = lp.b.size, lp.n_vars
+    N = n + m
+    basic = basis.basic
+    cost = np.concatenate([lp.objective, np.zeros(m)])
+    d = cost - cost[basic] @ tableau[:, :N]
+    # Direction each nonbasic column may move in: up from lower, down from
+    # upper; 0 for basic or fixed columns.  Slacks are never fixed.
+    s = np.where(basis.at_upper, -1.0, 1.0)
+    s[:n][hi <= lo] = 0.0
+    s[basic] = 0.0
+    g = np.maximum(d * s, 0.0)  # objective increase per unit moved
+    frac = np.abs(values - np.round(values))
+    score = np.zeros(candidates.size)
+    if g.any():
+        row = np.full(N, -1)
+        row[basic] = np.arange(m)
+        row = row[candidates]
+        # d x_j / d t per column; 0 for a binary resting on a fractional
+        # bound, which no pivot moves.
+        rate = np.zeros((row.size, N))
+        rate[row >= 0] = -tableau[row[row >= 0], :N] * s
+        down, up = rate < -_PIVOT_TOL, rate > _PIVOT_TOL
+        per_down = np.divide(g, -rate, out=np.full(rate.shape, np.inf), where=down)
+        per_up = np.divide(g, rate, out=np.full(rate.shape, np.inf), where=up)
+        D = np.minimum(values * per_down.min(axis=1), 1e30)
+        U = np.minimum((1.0 - values) * per_up.min(axis=1), 1e30)
+        score = np.maximum(D, 1e-6) * np.maximum(U, 1e-6)
+    return int(candidates[np.lexsort((candidates, -frac, -score))[0]])
 
 
 def _solve_root(lp: LinearProgram, start: Basis | None) -> tuple[MILPSolution, int]:
@@ -329,15 +375,16 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None, start: Basis |
     The start may be any basis of an LP with the same rows and columns, such
     as the ``basis`` of an earlier solve; one that is singular here or ends
     ``NUMERICAL`` is retried once cold, and the retry counts as a node.
-    Nodes are explored best-bound first; branching picks the most-fractional
-    binary, and both children start from their parent's final basis,
-    factored once for the pair.  Hitting the node cap returns
-    ``ITERATION_LIMIT``, and a node whose LP is ``NUMERICAL`` returns
-    ``NUMERICAL`` at once; both carry the best incumbent so far.  Every
-    exit returns the root relaxation's final basis in ``basis``.
+    Nodes are explored best-bound first.  The parent's final basis is
+    factored once; branching picks the binary with the largest one-pivot
+    penalties on that tableau (``_branch_var``), and both children start
+    from it.  Hitting the node cap returns ``ITERATION_LIMIT``, and a node
+    whose LP is ``NUMERICAL`` returns ``NUMERICAL`` at once; both carry the
+    best incumbent so far.  Every exit returns the root relaxation's final
+    basis in ``basis``.
     """
     lp = problem.lp
-    binaries = sorted(problem.binary_vars)
+    binaries = np.array(sorted(problem.binary_vars), dtype=int)
     root, nodes_explored = _solve_root(lp, problem.start if start is None else start)
     if node_cap is None:
         node_cap = 2 ** min(len(binaries), 40) + 1000
@@ -358,13 +405,15 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None, start: Basis |
         bound, _, lo, hi, x, basis = heapq.heappop(heap)
         if bound >= inc_obj - _BOUND_TOL:
             break  # best-bound order: nothing left can improve
-        j, frac = _most_fractional(x, binaries)
-        if frac <= _INT_TOL:
+        values = x[binaries]
+        fractional = np.abs(values - np.round(values)) > _INT_TOL
+        if not fractional.any():
             obj = float(lp.objective @ x)
             if obj < inc_obj:
                 incumbent, inc_obj = x, obj
             continue
         tableau = _factor(lp, basis.basic)
+        j = _branch_var(lp, tableau, basis, lo, hi, binaries[fractional], values[fractional])
         for val in (0.0, 1.0):
             if nodes_explored >= node_cap:
                 return done(Status.ITERATION_LIMIT, incumbent, inc_obj)

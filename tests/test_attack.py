@@ -505,6 +505,33 @@ def test_attack_linear_matches_highs_at_paper_scale_budgets_4_5():
             assert result.n_attacked <= budget, key
 
 
+def test_attack_linear_branch_and_bound_stays_shallow_at_paper_scale():
+    """Paper preset seed 7, test rows 0-1, budgets 3 and 5, every critical
+    target: 20 single-target attacks, each equal to HiGHS.  Branching on
+    one-pivot penalties solves them in 134 nodes, none over 23;
+    most-fractional branching took 878, and 157 on row 0, B=5, s2."""
+    data = simulate(paper_scale_config(seed=7), 7200)
+    train, test = split_sequential(data, 0.8)
+    bank = train_bank(train, family="linear")
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, 5)
+    nodes = {}
+    for row in (0, 1):
+        for budget in (3, 5):
+            for target in train.critical_columns():
+                inst = instance_from_dataset(train, test.values[row], budget=budget, critical=(target,))
+                highs = highs_milp(build_attack_milp(bank, tau, inst, target))
+                assert highs.status == 0, highs.message
+                ref = float(highs.fun)
+                result = run_attack(bank, tau, inst)
+                key = (row, budget, target)
+                assert result.solver_status == "optimal", key
+                assert result.objective - inst.y[target] == pytest.approx(ref, rel=1e-6, abs=1e-9), key
+                assert result.feasible, key
+                nodes[key] = result.iterations
+    assert max(nodes.values()) <= 50, nodes
+    assert sum(nodes.values()) <= 200, nodes
+
+
 def _start_vertex(problem):
     """``[x | slacks]`` at ``problem.start``, refactorized with numpy from
     the raw rows, with the bounds of every column."""

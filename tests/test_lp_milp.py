@@ -215,6 +215,95 @@ def test_milp_against_binary_enumeration():
             assert oracle == math.inf
 
 
+def _indicator_milp(M, budget, W, tau, target=0, sign=1.0) -> MILPProblem:
+    """The attack MILP's shape over ``[x | a]``: minimize ``-sign * x_target``
+    over the box ``|x_i| <= M_i`` with ``|x_i| <= M_i a_i`` (big-M),
+    ``sum a <= budget`` and ``|W x| <= tau``."""
+    M, W, tau = np.asarray(M, dtype=float), np.asarray(W, dtype=float), np.asarray(tau, dtype=float)
+    k = M.size
+    eye, off, none = np.eye(k), -np.diag(M), np.zeros_like(W)
+    A = np.vstack([np.hstack([eye, off]), np.hstack([-eye, off]), np.hstack([np.zeros(k), np.ones(k)]), np.hstack([W, none]), np.hstack([-W, none])])
+    b = np.concatenate([np.zeros(2 * k), [budget], tau, tau])
+    c = np.zeros(2 * k)
+    c[target] = -sign
+    lp = LinearProgram(c, A, b, np.concatenate([-M, np.zeros(k)]), np.concatenate([M, np.ones(k)]))
+    return MILPProblem(lp, frozenset(range(k, 2 * k)))
+
+
+def test_milp_big_m_indicators_against_binary_enumeration():
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        k = int(rng.integers(2, 6))
+        n_rows = int(rng.integers(1, 4))
+        problem = _indicator_milp(
+            M=rng.uniform(0.5, 4.0, k),
+            budget=int(rng.integers(1, k)),
+            W=rng.normal(size=(n_rows, k)),
+            tau=rng.uniform(0.2, 1.5, n_rows),
+            target=int(rng.integers(k)),
+            sign=float(rng.choice([-1.0, 1.0])),
+        )
+        sol = solve_milp(problem)
+        assert sol.status == Status.OPTIMAL  # x = a = 0 is always feasible
+        assert sol.objective == pytest.approx(_milp_enumeration_oracle(problem), abs=1e-6)
+        assert check_solution(problem, sol.x) <= 1e-6
+
+
+def _most_fractional(lp, tableau, basis, lo, hi, candidates, values):
+    """The branching rule the penalties replaced: the most fractional binary."""
+    frac = np.abs(values - np.round(values))
+    return int(candidates[np.lexsort((candidates, -frac))[0]])
+
+
+def test_penalty_branching_beats_most_fractional_on_a_fractional_target(monkeypatch):
+    """At budget 1 the root spreads the budget row over the target's own
+    indicator (a_0 = 0.434) and the other sensor's (a_1 = 0.5625), which
+    buys the target room through the second detector row.  Most-fractional
+    branching picks a_1, whose children barely move the bound; the one-pivot
+    penalties pick a_0, and both of its children settle the tree."""
+    problem = _indicator_milp(M=[2.4, 4.0], budget=1, W=[[1.8, 0.7], [0.6, 0.9]], tau=[0.3, 1.4])
+    root = solve_lp(problem.lp)
+    np.testing.assert_allclose(root.x[2:], [0.434028, 0.5625], atol=1e-6)
+    oracle = _milp_enumeration_oracle(problem)
+    assert oracle == pytest.approx(-1 / 6, abs=1e-12)
+
+    penalty = solve_milp(problem)
+    monkeypatch.setattr(lp_milp, "_branch_var", _most_fractional)
+    fractional = solve_milp(problem)
+    for sol in (penalty, fractional):
+        assert sol.status == Status.OPTIMAL
+        assert sol.objective == pytest.approx(oracle, abs=1e-9)
+    assert (penalty.nodes_explored, fractional.nodes_explored) == (3, 5)
+
+
+def test_degenerate_node_branches_on_the_most_fractional_binary():
+    """With every reduced cost 0 the penalties say nothing, and the most
+    fractional binary wins: not the lowest index, nor a_0, whose down
+    child no pivot can reach (a_0 + a_1 >= 1.3 needs a_0 > 0).  With a
+    cost, that infeasible child's penalty makes a_0 the choice."""
+    A = [[-1.0, -1.0, 0.0], [0.0, 1.0, 1.0]]  # a_0 + a_1 >= 1.3, a_1 + a_2 <= 1.45
+    b = [-1.3, 1.45]
+    # a_0 and a_2 basic at 0.3 and 0.45, a_1 at its upper bound, slacks at 0.
+    basis = lp_milp.Basis(np.array([0, 2]), np.array([False, True, False, False, False]))
+    candidates, values = np.array([0, 2]), np.array([0.3, 0.45])
+    for c, chosen in [(np.zeros(3), 2), (np.array([0.0, -1.0, 0.0]), 0)]:
+        lp = LinearProgram(c, A, b, np.zeros(3), np.ones(3))
+        tableau = lp_milp._factor(lp, basis.basic)
+        np.testing.assert_allclose(tableau[:, -1] - tableau[:, 1], values)
+        assert lp_milp._branch_var(lp, tableau, basis, lp.lower, lp.upper, candidates, values) == chosen
+
+
+def test_branching_on_a_binary_resting_on_a_fractional_bound():
+    """A binary bounded by [0, 0.5] is nonbasic and fractional at its upper
+    bound, and has no tableau row: no pivot moves it, so both of its
+    penalties are infinite and it is branched on first, also in an LP with
+    no rows at all."""
+    lp = LinearProgram(np.array([-1.0, -1.0]), np.zeros((0, 2)), np.zeros(0), np.zeros(2), np.array([0.5, 1.0]))
+    basis = lp_milp.Basis(np.zeros(0, dtype=int), np.array([True, True]))
+    tableau = lp_milp._factor(lp, basis.basic)
+    assert lp_milp._branch_var(lp, tableau, basis, lp.lower, lp.upper, np.array([0]), np.array([0.5])) == 0
+
+
 def test_milp_deterministic():
     rng = np.random.default_rng(5)
     problem = _random_mixed_binary(rng)
