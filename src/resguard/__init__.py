@@ -35,7 +35,6 @@ from .models import (
     normalized_mse,
     predict,
     predict_batch,
-    save_model,
     taylor_linearize,
 )
 from .detector import (
@@ -48,7 +47,6 @@ from .detector import (
     fp_curve,
     fp_inverse,
     residuals,
-    save_thresholds,
     train_bank,
 )
 from .lp_milp import (
@@ -77,16 +75,6 @@ from .defense import (
     impact,
     resilient_thresholds,
     total_false_alarms,
-)
-from .oracle import (
-    Graph,
-    ReductionInstance,
-    arp_decision_bruteforce,
-    mis_bruteforce,
-    mis_reduce,
-    oracle_attack_enumerate,
-    oracle_attack_grid,
-    parse_edge_list,
 )
 
 __version__ = "0.1.0"

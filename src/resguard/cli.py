@@ -239,7 +239,7 @@ def cmd_train(cfg: dict) -> int:
         entry = bank.detectors[s]
         name = bank.name_of(s)
         model_file = f"model_{name}.json"
-        models_mod.save_model(entry.model, models_dir / model_file)
+        _write_json(models_dir / model_file, models_mod.model_to_json(entry.model))
         manifest["detectors"].append(
             {"sensor": name, "index": s, "features": entry.feature_indices.tolist(), "file": model_file}
         )
@@ -278,15 +278,17 @@ def cmd_calibrate(cfg: dict) -> int:
     tau = detector_mod.calibrate_baseline(curves, period, len(bank.detector_set))
     thresholds_dir = out / "thresholds"
     thresholds_dir.mkdir(parents=True, exist_ok=True)
-    detector_mod.save_thresholds(
-        tau,
+    _write_json(
         thresholds_dir / "baseline.json",
-        bank,
-        calibration={
-            "target_period_steps": period,
-            "window_rows": train.n_rows,
-            "n_detectors": len(bank.detector_set),
-        },
+        detector_mod.thresholds_to_json(
+            tau,
+            bank,
+            calibration={
+                "target_period_steps": period,
+                "window_rows": train.n_rows,
+                "n_detectors": len(bank.detector_set),
+            },
+        ),
     )
     print(f"calibrate: wrote baseline thresholds for {len(tau.tau)} detectors to {thresholds_dir / 'baseline.json'}")
     return EXIT_OK
@@ -400,7 +402,7 @@ def cmd_defend(cfg: dict) -> int:
 
     defense_dir = out / "defense"
     defense_dir.mkdir(parents=True, exist_ok=True)
-    detector_mod.save_thresholds(outcome.thresholds, defense_dir / "thresholds_resilient.json", bank)
+    _write_json(defense_dir / "thresholds_resilient.json", detector_mod.thresholds_to_json(outcome.thresholds, bank))
     _write_csv(
         defense_dir / "trace.csv",
         ["iteration", "worst_impact", "worst_sensor", "fa", "accepted", "epsilon"],
@@ -469,9 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to the experiment config JSON")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--budget", type=int, help="override the attack budget")
-    parser.add_argument("--gamma", type=float, help="override the defense false-alarm slack")
-    parser.add_argument("--family", choices=["linear", "neural", "ensemble"], help="override the model family")
     return parser
 
 
@@ -483,12 +482,6 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.out is not None:
             cfg["output_dir"] = args.out
-        if args.budget is not None:
-            cfg["attack"]["budget"] = args.budget
-        if args.gamma is not None:
-            cfg["defense"]["gamma"] = args.gamma
-        if args.family is not None:
-            cfg["model_family"] = args.family
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ residual sample and ``FP(tau)`` counts residuals strictly above ``tau``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -284,10 +283,4 @@ def thresholds_to_json(tau: ThresholdConfig, bank: PredictorBank | None = None, 
 
 def thresholds_from_json(obj: dict) -> ThresholdConfig:
     return ThresholdConfig({int(idx): obj["tau"][name] for name, idx in obj["columns"].items()})
-
-
-def save_thresholds(tau: ThresholdConfig, path, bank: PredictorBank | None = None, calibration: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(thresholds_to_json(tau, bank, calibration), fh, indent=2)
-        fh.write("\n")
 

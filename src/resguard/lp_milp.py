@@ -155,9 +155,20 @@ class MILPProblem:
         out_of_range = idx[(idx < 0) | (idx >= self.lp.n_vars)]
         if out_of_range.size:
             raise ValueError(f"binary index {out_of_range[0]} out of range")
-        unbounded = idx[(self.lp.lower[idx] < -1e-9) | (self.lp.upper[idx] > 1 + 1e-9)]
+        lower, upper = self.lp.lower[idx], self.lp.upper[idx]
+        unbounded = idx[(lower < -1e-9) | (upper > 1 + 1e-9)]
         if unbounded.size:
             raise ValueError(f"binary variable {unbounded[0]} must have bounds within [0, 1]")
+        # Round each binary's bounds inward to the integers they hold, so
+        # branching never fixes a binary outside its own bounds.
+        lo, hi = np.ceil(lower - 1e-9), np.floor(upper + 1e-9)
+        if np.any((lo != lower) | (hi != upper)):
+            empty = idx[lo > hi]
+            if empty.size:
+                raise ValueError(f"binary variable {empty[0]} has no integer value within its bounds")
+            lower, upper = self.lp.lower.copy(), self.lp.upper.copy()
+            lower[idx], upper[idx] = lo, hi
+            object.__setattr__(self, "lp", self.lp.with_bounds(lower, upper))
         object.__setattr__(self, "binary_vars", frozenset(idx.tolist()))
 
 

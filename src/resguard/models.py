@@ -10,7 +10,6 @@ engineering units, while MSE reporting uses normalized values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -452,10 +451,4 @@ def model_from_json(obj: dict) -> Model:
     if family == "ensemble":
         return EnsembleModel(model_from_json(obj["nn"]), model_from_json(obj["lr"]))
     raise ValueError(f"unknown model family {family!r}")
-
-
-def save_model(model: Model, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2)
-        fh.write("\n")
 

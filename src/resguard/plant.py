@@ -116,14 +116,6 @@ class Dataset:
     def row(self, t: int) -> np.ndarray:
         return self.values[t].copy()
 
-    def equals(self, other: "Dataset") -> bool:
-        return (
-            self.columns == other.columns
-            and self.timestep == other.timestep
-            and self.values.shape == other.values.shape
-            and bool(np.all(self.values == other.values))
-        )
-
 
 @dataclass(frozen=True)
 class PlantConfig:

@@ -21,10 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .attack import AttackInstance
-from .detector import PredictorBank, ThresholdConfig
-from .lp_milp import LinearProgram, Status, solve_lp
-from .models import LinearModel, predict_batch
+from resguard.attack import AttackInstance
+from resguard.detector import PredictorBank, ThresholdConfig
+from resguard.lp_milp import LinearProgram, Status, solve_lp
+from resguard.models import LinearModel, predict_batch
 
 _ENUM_LIMIT = 20
 _GRID_DIM_LIMIT = 3
@@ -67,24 +67,6 @@ class Graph:
             rest = mask & (mask - 1)
             indep[mask] = indep[rest] and not (adj[low] & rest)
         return indep
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: first line ``n m``, then ``m`` lines ``u v``."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty edge list")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("first line must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = set()
-    for ln in lines[1:]:
-        u, v = (int(tok) for tok in ln.split())
-        edges.add((u, v))
-    return Graph(n, frozenset(edges))
 
 
 def mis_bruteforce(g: Graph, k: int) -> bool:

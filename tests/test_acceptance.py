@@ -12,6 +12,14 @@ import numpy as np
 import pytest
 
 from _helpers import finite_difference_gradient, random_linear_setup, random_neural_model, stack_rows
+from _oracle import (
+    Graph,
+    arp_decision_bruteforce,
+    mis_bruteforce,
+    mis_reduce,
+    oracle_attack_enumerate,
+    oracle_attack_grid,
+)
 from resguard.attack import (
     Alg1Config,
     AttackInstance,
@@ -40,14 +48,6 @@ from resguard.models import (
     jacobian,
     normalized_mse,
     predict,
-)
-from resguard.oracle import (
-    Graph,
-    arp_decision_bruteforce,
-    mis_bruteforce,
-    mis_reduce,
-    oracle_attack_enumerate,
-    oracle_attack_grid,
 )
 from resguard.plant import Dataset, Nonlinearity, desk_config, simulate, split_sequential
 

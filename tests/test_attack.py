@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _helpers import assert_result_invariants, constant_bank, highs_milp, random_linear_setup, stealth_breaking_solve
+from _oracle import oracle_attack_enumerate, oracle_attack_grid
 from resguard import attack, lp_milp
 from resguard.attack import (
     Alg1Config,
@@ -38,7 +39,6 @@ from resguard.lp_milp import (
     solve_milp,
 )
 from resguard.models import EnsembleModel, LinearModel, NeuralModel, TrainConfig, predict_batch, taylor_linearize
-from resguard.oracle import oracle_attack_enumerate, oracle_attack_grid
 from resguard.plant import Nonlinearity, desk_config, paper_scale_config, simulate, split_sequential
 
 

@@ -251,9 +251,8 @@ def test_attack_exits_numeric_on_certificate_failure(pipeline_dir, tmp_path, mon
 
 def test_overrides_leave_the_defaults_alone(tmp_path):
     before = copy.deepcopy(DEFAULT_CONFIG)
-    for seed, budget, gamma in (("5", "3", "0.5"), ("6", "4", "1.5")):
-        argv = ["report", "--out", str(tmp_path / seed), "--seed", seed, "--budget", budget, "--gamma", gamma]
-        assert main(argv + ["--family", "neural"]) == EXIT_DEPENDENCY
+    for seed in ("5", "6"):
+        assert main(["report", "--out", str(tmp_path / seed), "--seed", seed]) == EXIT_DEPENDENCY
     assert DEFAULT_CONFIG == before
     assert load_config(None) == before
 

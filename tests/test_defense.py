@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _helpers import constant_bank, random_linear_setup
+from _oracle import oracle_attack_enumerate
 from resguard import attack, defense
 from resguard.attack import (
     AttackInstance,
@@ -27,7 +28,6 @@ from resguard.detector import (
     train_bank,
 )
 from resguard.models import TrainConfig
-from resguard.oracle import oracle_attack_enumerate
 from resguard.plant import Column, Dataset, Nonlinearity, Role, desk_config, simulate, split_sequential
 
 

@@ -1,5 +1,6 @@
 """numpy is resguard's only runtime dependency: attacks run with scipy
-unimportable."""
+unimportable.  The package holds only the tool: its test oracles live in
+``tests/``."""
 
 import os
 import subprocess
@@ -41,8 +42,25 @@ assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 """
 
 
-def test_attacks_run_without_scipy():
+def _run(script: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT], env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_attacks_run_without_scipy():
+    proc = _run(_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert [line.split()[:2] for line in proc.stdout.splitlines()] == [["linear", "optimal"], ["neural", "optimal"]]
+
+
+def test_package_loads_only_the_tool():
+    proc = _run(
+        "import sys, resguard\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('resguard.'))))\n"
+        "print(' '.join(a for a in dir(resguard) if a.startswith(('oracle_', 'mis_', 'Graph'))))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, oracle_names = proc.stdout.splitlines()
+    modules = ("attack", "defense", "detector", "lp_milp", "models", "plant")
+    assert loaded.split() == [f"resguard.{m}" for m in modules]
+    assert oracle_names == ""

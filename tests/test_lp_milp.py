@@ -339,6 +339,19 @@ def test_milp_binary_bounds_validation():
         MILPProblem(lp, frozenset({0}))
 
 
+def test_milp_rounds_fractional_binary_bounds_inward():
+    """A binary in [0, 0.5] can only be 0; one in [0.3, 0.7] can be neither."""
+    c, rows = np.array([-1.0, -1.0]), (np.zeros((0, 2)), np.zeros(0))
+    problem = MILPProblem(LinearProgram(c, *rows, np.zeros(2), np.array([0.5, 1.0])), frozenset({0}))
+    sol = solve_milp(problem)
+    assert sol.status == Status.OPTIMAL
+    np.testing.assert_array_equal(sol.x, [0.0, 1.0])
+    assert sol.objective == pytest.approx(-1.0)
+    assert check_solution(problem, sol.x) <= 1e-6
+    with pytest.raises(ValueError):
+        MILPProblem(LinearProgram(c, *rows, np.array([0.3, 0.0]), np.array([0.7, 1.0])), frozenset({0}))
+
+
 def _highs_lp(lp: LinearProgram):
     """``scipy.optimize.linprog`` (HiGHS) on the same LP."""
     return linprog(

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from _helpers import constant_bank, random_linear_setup
-from resguard.attack import AttackInstance, run_attack
-from resguard.detector import DetectorEntry, PredictorBank, ThresholdConfig
-from resguard.models import LinearModel
-from resguard.oracle import (
+from _oracle import (
     Graph,
     arp_decision_bruteforce,
     mis_bruteforce,
     mis_reduce,
     oracle_attack_enumerate,
     oracle_attack_grid,
-    parse_edge_list,
 )
+from resguard.attack import AttackInstance, run_attack
+from resguard.detector import DetectorEntry, PredictorBank, ThresholdConfig
+from resguard.models import LinearModel
 
 K3 = Graph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
 P3 = Graph(3, frozenset({(0, 1), (1, 2)}))
@@ -29,13 +28,6 @@ def test_graph_validation():
         Graph(2, frozenset({(0, 5)}))
     g = Graph(3, frozenset({(2, 0)}))
     assert (0, 2) in g.edges  # normalized ordering
-
-
-def test_parse_edge_list():
-    g = parse_edge_list("3 2\n0 1\n1 2\n")
-    assert g.n == 3 and g.edges == P3.edges
-    with pytest.raises(ValueError):
-        parse_edge_list("3 2\n0 1\n")
 
 
 def test_mis_bruteforce_examples():
