@@ -177,10 +177,11 @@ class AttackResult:
 
     ``feasible`` certifies that every detector residual at ``y_tilde`` is
     within ``STEALTH_TOL`` of its threshold under exact forward propagation.
-    The one honest unstealthy result is the no-op on a clean row that
-    already alarms: ``solver_status="infeasible"`` when the exact MILP proves
-    that no stealthy attack exists, ``"clean_alarm"`` when the iterative
-    attack found none.
+    ``solver_status`` is ``"optimal"``, or for the target's no-op
+    ``"infeasible"`` when the exact MILP proves that no stealthy attack
+    exists and ``"clean_alarm"`` when the iterative attack found none.
+    ``run_attack`` returns only stealthy results and these no-ops, which are
+    unstealthy exactly when the clean row already alarms.
 
     ``basis`` is the root basis of the last MILP the exact attack solved,
     which can start a related attack (see ``run_attack``); it is ``None``
@@ -209,21 +210,7 @@ class SolverLimitError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """The attack solver returned an answer that fails its certificate."""
-
-
-def certify(result: AttackResult) -> AttackResult:
-    """``result``, when it can be backed up.  Raises ``SolverLimitError``
-    when the solver hit its node cap, and ``NumericalError`` for a solver
-    fault or an attack that is not stealthy other than the honest no-op on
-    a clean row that already alarms (see ``AttackResult``)."""
-    if result.solver_status == "iteration_limit":
-        raise SolverLimitError("attack solver hit its node cap; result is not proven optimal")
-    if result.solver_status == "numerical":
-        raise NumericalError("attack solver returned a candidate that fails the stealth certificate")
-    if not result.feasible and result.solver_status not in ("infeasible", "clean_alarm"):
-        raise NumericalError(f"attack is not stealthy (solver status {result.solver_status!r})")
-    return result
+    """The attack solver faulted or returned an answer that fails its certificate."""
 
 
 def stealth_margin(bank: PredictorBank, tau: ThresholdConfig, rows: np.ndarray) -> float | np.ndarray:
@@ -406,18 +393,19 @@ def _attack_exact(
     ``start`` when given, else from the no-op vertex.  ``iterations`` counts
     branch-and-bound nodes and ``basis`` is the MILP's root basis.
 
-    Without an incumbent the result is the target's no-op under the MILP's
-    status.  An incumbent that fails the stealth certificate is a solver
-    fault, not an attack: it gives the no-op with status ``numerical``.
+    An ``INFEASIBLE`` MILP gives the target's no-op with status
+    ``infeasible``, and an ``OPTIMAL`` one its incumbent, which
+    ``run_attack`` checks for stealth.  A MILP that hit its node cap raises
+    ``SolverLimitError``, and one that ended ``NUMERICAL`` raises
+    ``NumericalError``.
     """
     sol = solve_milp(build_attack_milp(bank, tau, inst, target), start=start)
-    status = sol.status.value
-    if sol.x is not None:
-        result = _result(bank, tau, inst, target, _delta(inst, sol.x), sol.nodes_explored, status, sol.basis)
-        if result.feasible:
-            return result
-        status = "numerical"
-    return _result(bank, tau, inst, target, np.zeros_like(inst.y), sol.nodes_explored, status, sol.basis)
+    if sol.status == Status.ITERATION_LIMIT:
+        raise SolverLimitError(f"attack solver hit its node cap on target {target}; no proven optimum")
+    if sol.status == Status.NUMERICAL:
+        raise NumericalError(f"attack solver hit a numerical fault on target {target}")
+    delta = np.zeros_like(inst.y) if sol.x is None else _delta(inst, sol.x)
+    return _result(bank, tau, inst, target, delta, sol.nodes_explored, sol.status.value, sol.basis)
 
 
 def _probe_seeds(
@@ -589,14 +577,18 @@ def run_attack(
     point.  Each seed must be an attack this instance allows (within its
     perturbation bounds and budget), else ``ValueError``.
 
+    Each target's result is checked as it comes back, and the call raises
+    rather than return an attack it cannot back up: ``NumericalError`` for
+    an unstealthy result other than the honest no-op (status ``infeasible``
+    or ``clean_alarm``), and what ``_attack_exact`` raises for a MILP that
+    hit its node cap or a numerical fault.
+
     The best result is stealthy if any is, then has the better objective
     in the instance's direction, then the earlier target.  With no
     stealthy result it is the no-op on the target whose clean value is
-    best.  Its status is ``numerical`` if any target's is, else
-    ``iteration_limit`` if any target's is, else its own.  ``iterations``
-    totals the call's work: branch-and-bound nodes, or trust-region MILPs.
-    ``basis`` is the last target's root basis, ``None`` when iterative.
-    ``per_target`` keeps every target's result.
+    best.  ``iterations`` totals the call's work: branch-and-bound nodes,
+    or trust-region MILPs.  ``basis`` is the last target's root basis,
+    ``None`` when iterative.  ``per_target`` keeps every target's result.
     """
     if bank.is_affine():
         attack = functools.partial(_attack_exact, bank, tau, inst)
@@ -624,14 +616,15 @@ def run_attack(
         # activation is paid, in the budget row, so the previous target's
         # root basis is a start of the same shape; phase 1 repairs it when
         # it is not primal feasible here.
-        results.append(attack(target, start))
-        start = results[-1].basis
+        result = attack(target, start)
+        if not result.feasible and result.solver_status not in ("infeasible", "clean_alarm"):
+            raise NumericalError(f"the attack on target {target} is not stealthy")
+        results.append(result)
+        start = result.basis
     sign = inst.direction.sign
     best = min(results, key=lambda r: (not r.feasible, sign * r.objective))
-    statuses = {r.solver_status for r in results}
-    status = next((s for s in ("numerical", "iteration_limit") if s in statuses), best.solver_status)
     work = sum(r.iterations for r in results)
-    return replace(best, iterations=work, solver_status=status, basis=start, per_target=tuple(results))
+    return replace(best, iterations=work, basis=start, per_target=tuple(results))
 
 
 def result_to_json(inst: AttackInstance, result: AttackResult, bank: PredictorBank | None = None) -> dict:

@@ -72,13 +72,16 @@ DEFAULT_CONFIG = {
 
 
 _JSON_TYPES = {bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"}
+# Keys with no default, checked where they are read.
+_OPTIONAL_KEYS = {"plant.overrides", "plant.csv", "plant.roles"}
 
 
 def _typed(default, value, name: str):
     """``value`` typed by its ``default``, or a ``ConfigError`` naming it.
 
-    An object is merged over its default key by key, and keys without a
-    default pass unchanged.  List elements follow the default's first
+    An object is merged over its default key by key; a key without a
+    default is a ``ConfigError`` unless it is one of ``_OPTIONAL_KEYS``,
+    which pass unchanged.  List elements follow the default's first
     element.  No number may be NaN.  An integer default takes a number with
     no fractional part and gives an ``int``; a float or ``null`` default
     takes any number and gives a ``float``, and ``null`` stays ``null``.  A boolean, string, object or
@@ -91,7 +94,10 @@ def _typed(default, value, name: str):
         if isinstance(default, dict):
             merged = dict(default)
             for key, item in value.items():
-                merged[key] = _typed(default[key], item, f"{name}.{key}" if name else key) if key in default else item
+                path = f"{name}.{key}" if name else key
+                if key not in default and path not in _OPTIONAL_KEYS:
+                    raise ConfigError(f"unknown config key {path}")
+                merged[key] = _typed(default[key], item, path) if key in default else item
             return merged
         if isinstance(default, list):
             return [_typed(default[0], item, f"{name}[{i}]") for i, item in enumerate(value)]
@@ -325,9 +331,9 @@ def cmd_attack(cfg: dict) -> int:
     # from the root basis of the one before (exact attacks only).
     basis = None
 
-    def certified(inst, seeds=()):
+    def attack(inst, seeds=()):
         nonlocal basis
-        result = attack_mod.certify(attack_mod.run_attack(bank, tau, inst, alg1, start=basis, seeds=seeds))
+        result = attack_mod.run_attack(bank, tau, inst, alg1, start=basis, seeds=seeds)
         basis = result.basis
         return result
 
@@ -339,7 +345,7 @@ def cmd_attack(cfg: dict) -> int:
     for b in aspec["budgets"]:
         if b not in at_budget:
             seeds = [sweep[-1][1].y_tilde] if sweep and sweep[-1][0] <= b else []
-            at_budget[b] = certified(replace(template, budget=b), seeds)
+            at_budget[b] = attack(replace(template, budget=b), seeds)
         sweep.append((b, at_budget[b]))
     _write_csv(
         attack_dir / "budget_sweep.csv",
@@ -350,7 +356,7 @@ def cmd_attack(cfg: dict) -> int:
     # The attack at the configured budget is the sweep's entry there, or one
     # of its own for a budget outside the sweep.  Its per-target attacks
     # are the per-sensor objectives.
-    configured = at_budget[template.budget] if template.budget in at_budget else certified(template)
+    configured = at_budget[template.budget] if template.budget in at_budget else attack(template)
     _write_csv(
         attack_dir / "per_sensor.csv",
         ["sensor", "clean_value", "attacked_value", "n_attacked", "feasible"],
@@ -367,7 +373,7 @@ def cmd_attack(cfg: dict) -> int:
     n_rows = min(aspec["rows"], test.n_rows)
     trajectory = []
     for t in range(n_rows):
-        result = configured if t == 0 else certified(template.at_row(test.values[t]))
+        result = configured if t == 0 else attack(template.at_row(test.values[t]))
         trajectory.append([t, bank.name_of(result.target), repr(result.objective), result.n_attacked])
     _write_csv(attack_dir / "trajectory.csv", ["t", "target", "objective", "n_attacked"], trajectory)
 

@@ -8,9 +8,9 @@ thresholds (those on untargeted sensors first) just enough to pay back the
 false alarms added, and only accept candidates that keep the clean-window
 false-alarm count within ``gamma`` of the baseline.
 
-Every attack it scores must pass ``attack.certify``: an attack the solver
-cannot back up raises ``SolverLimitError`` or ``NumericalError`` rather
-than enter an impact.
+It scores the attacks of ``run_attack`` as they come: an attack the solver
+cannot back up raises ``SolverLimitError`` or ``NumericalError`` there
+rather than enter an impact.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .attack import Alg1Config, AttackInstance, certify, run_attack
+from .attack import Alg1Config, AttackInstance, run_attack
 from .detector import FPCurve, PredictorBank, ThresholdConfig, alarms, fp_inverse
 from .plant import Dataset
 
@@ -81,10 +81,10 @@ def impact(
     stealthy attack on target ``s`` over the trajectory rows.
 
     ``trajectory`` is a :class:`Dataset` or a plain row matrix.  Each row
-    gets one ``run_attack``, and each of its ``per_target`` attacks passes
-    through ``attack.certify``, so one the solver cannot back up raises
-    ``SolverLimitError`` or ``NumericalError``.  The rows pose same-shape
-    MILPs, so each row's attack starts from the root basis of the row before.
+    gets one ``run_attack``, whose ``per_target`` attacks are scored as
+    they come (``run_attack`` raises for one it cannot back up).  The rows
+    pose same-shape MILPs, so each row's attack starts from the root basis
+    of the row before.
     """
     rows = _trajectory_values(trajectory)
     basis = None
@@ -92,7 +92,7 @@ def impact(
     for row in rows:
         result = run_attack(bank, tau, inst_template.at_row(row), alg1, start=basis)
         basis = result.basis
-        for r in map(certify, result.per_target):
+        for r in result.per_target:
             deviations[r.target].append(abs(r.y_tilde[r.target] - row[r.target]))
     return ImpactReport({s: float(np.mean(d)) for s, d in deviations.items()})
 

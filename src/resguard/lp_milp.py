@@ -318,7 +318,8 @@ def _branch_var(
 ) -> int:
     """The fractional binary to branch on, by Driebeek's one-pivot penalties.
 
-    ``candidates`` are the node's fractional binaries and ``values`` their
+    ``candidates`` are the node's fractional binaries, all basic (a
+    nonbasic binary rests on an integer bound), and ``values`` their
     values, ``tableau`` is the node's ``basis`` factored by ``_factor``, and
     ``lo``, ``hi`` are the node's bounds.  Driving a basic binary at ``f``
     down to 0 (up to 1) must move some nonbasic column off its bound; the
@@ -345,11 +346,7 @@ def _branch_var(
     if g.any():
         row = np.full(N, -1)
         row[basic] = np.arange(m)
-        row = row[candidates]
-        # d x_j / d t per column; 0 for a binary resting on a fractional
-        # bound, which no pivot moves.
-        rate = np.zeros((row.size, N))
-        rate[row >= 0] = -tableau[row[row >= 0], :N] * s
+        rate = -tableau[row[candidates], :N] * s  # d x_j / d t per column
         down, up = rate < -_PIVOT_TOL, rate > _PIVOT_TOL
         per_down = np.divide(g, -rate, out=np.full(rate.shape, np.inf), where=down)
         per_up = np.divide(g, rate, out=np.full(rate.shape, np.inf), where=up)

@@ -374,24 +374,79 @@ def test_at_row_equals_the_inline_reposing():
     assert np.all(inst.box_hi >= rows[-1]) and not np.all(template.box_hi >= rows[-1])
 
 
-@pytest.mark.parametrize("feasible", [True, False])
+def _solve_outcome(status, point):
+    """Stand-in for ``solve_milp`` on an attack MILP: ``status``, with the
+    target's delta at ``point`` as the incumbent, or no incumbent."""
+
+    def solve(problem, start=None):
+        lp = problem.lp
+        if point is None:
+            return MILPSolution(status, None, math.inf, 1)
+        x = np.zeros(lp.n_vars)
+        x[int(np.flatnonzero(lp.objective)[0])] = point
+        return MILPSolution(status, x, float(lp.objective @ x), 1)
+
+    return solve
+
+
 @pytest.mark.parametrize(
-    "status, raises",
+    "status, point, y1, expected",
     [
-        ("optimal", {False: attack.NumericalError}),
-        ("iteration_limit", {True: attack.SolverLimitError, False: attack.SolverLimitError}),
-        ("numerical", {True: attack.NumericalError, False: attack.NumericalError}),
-        ("infeasible", {}),
-        ("clean_alarm", {}),
+        pytest.param(Status.OPTIMAL, -0.5, 0.0, "optimal", id="optimal-stealthy"),
+        pytest.param(Status.OPTIMAL, -10.0, 0.0, attack.NumericalError, id="optimal-unstealthy"),
+        pytest.param(Status.NUMERICAL, -0.5, 0.0, attack.NumericalError, id="numerical-incumbent"),
+        pytest.param(Status.NUMERICAL, None, 0.0, attack.NumericalError, id="numerical-no-incumbent"),
+        pytest.param(Status.ITERATION_LIMIT, -0.5, 0.0, attack.SolverLimitError, id="iteration_limit-incumbent"),
+        pytest.param(Status.ITERATION_LIMIT, None, 0.0, attack.SolverLimitError, id="iteration_limit-no-incumbent"),
+        pytest.param(Status.INFEASIBLE, None, 0.0, "infeasible", id="infeasible-stealthy-clean-row"),
+        pytest.param(Status.INFEASIBLE, None, 2.0, "infeasible", id="infeasible-alarming-clean-row"),
     ],
 )
-def test_certify_passes_only_results_it_can_back_up(status, raises, feasible):
-    result = attack.AttackResult(np.zeros(2), np.zeros(2), np.zeros(2, dtype=bool), 0, 0.0, feasible, 0, status)
-    if feasible in raises:
-        with pytest.raises(raises[feasible]):
-            attack.certify(result)
-    else:
-        assert attack.certify(result) is result
+def test_run_attack_passes_only_results_it_can_back_up(monkeypatch, status, point, y1, expected):
+    """Each ``solve_milp`` outcome on both targets of a mutual pair: a
+    stealthy optimum is the attack, an unstealthy one or a numerical fault
+    is a ``NumericalError``, the node cap a ``SolverLimitError``, and an
+    infeasible MILP the no-op, stealthy or not as the clean row is."""
+    bank = _identity_pair_bank(mutual=True)
+    tau = ThresholdConfig({0: 1.0, 1: 1.0})
+    inst = AttackInstance(y=np.array([0.0, y1]), sensor_columns=(0, 1), critical=(0, 1), budget=1)
+    monkeypatch.setattr(attack, "solve_milp", _solve_outcome(status, point))
+    if not isinstance(expected, str):
+        with pytest.raises(expected):
+            run_attack(bank, tau, inst)
+        return
+    result = run_attack(bank, tau, inst)
+    assert result.solver_status == expected
+    assert result.n_attacked == (point is not None)
+    assert result.objective == (0.0 if point is None else point)
+    assert result.feasible == (y1 == 0.0)
+    assert_result_invariants(result, inst)
+
+
+@pytest.mark.parametrize(
+    "failing, outcome, error",
+    [
+        pytest.param(1, stealth_breaking_solve, attack.NumericalError, id="second-unstealthy"),
+        pytest.param(0, _solve_outcome(Status.ITERATION_LIMIT, None), attack.SolverLimitError, id="first-node-cap"),
+        pytest.param(1, _solve_outcome(Status.ITERATION_LIMIT, None), attack.SolverLimitError, id="second-node-cap"),
+    ],
+)
+def test_run_attack_raises_when_one_target_fails(monkeypatch, failing, outcome, error):
+    """One target's solve breaks stealth or hits the node cap, and the
+    other target's attack is stealthy: the call raises rather than return
+    that attack, also when the target that fails comes second."""
+    bank = _identity_pair_bank(mutual=True)
+    tau = ThresholdConfig({0: 1.0, 1: 1.0})
+    inst = AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0, 1), budget=1)
+
+    def solve(problem, start=None):
+        return outcome(problem) if problem.lp.objective[failing] else solve_milp(problem, start=start)
+
+    monkeypatch.setattr(attack, "solve_milp", solve)
+    other = run_attack(bank, tau, replace(inst, critical=(1 - failing,)))
+    assert other.feasible and other.objective == pytest.approx(-1.0, abs=1e-7)
+    with pytest.raises(error):
+        run_attack(bank, tau, inst)
 
 
 def test_run_attack_dispatch():
@@ -415,18 +470,12 @@ def test_attack_linear_drops_candidate_failing_certificate(monkeypatch):
         return stealth_breaking_solve(problem) if problem.lp.objective[0] else solve_milp(problem, start=start)
 
     monkeypatch.setattr(attack, "solve_milp", solve)
-    result = run_attack(bank, tau, inst)
-    assert result.solver_status == "numerical"
-    assert result.target == 1
-    assert result.objective == pytest.approx(-1.0, abs=1e-7)
-    assert result.feasible
-    assert_result_invariants(result, inst)
+    with pytest.raises(attack.NumericalError):
+        run_attack(bank, tau, inst)
 
     monkeypatch.setattr(attack, "solve_milp", stealth_breaking_solve)
-    result = run_attack(bank, tau, inst)
-    assert result.solver_status == "numerical"
-    assert result.n_attacked == 0
-    assert result.feasible
+    with pytest.raises(attack.NumericalError):
+        run_attack(bank, tau, inst)
 
 
 def test_attack_linear_reports_numerical_lp(monkeypatch):
@@ -435,10 +484,8 @@ def test_attack_linear_reports_numerical_lp(monkeypatch):
     inst = AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0, 1), budget=1)
     # Every LP vertex now fails verification, so no MILP can be OPTIMAL.
     monkeypatch.setattr(lp_milp, "check_solution", lambda problem, x, tol=1e-7: 1e3)
-    result = run_attack(bank, tau, inst)
-    assert result.solver_status == "numerical"
-    assert result.n_attacked == 0
-    assert result.feasible
+    with pytest.raises(attack.NumericalError):
+        run_attack(bank, tau, inst)
 
 
 def test_attack_linear_without_an_incumbent_at_the_node_cap_says_so(monkeypatch):
@@ -446,9 +493,8 @@ def test_attack_linear_without_an_incumbent_at_the_node_cap_says_so(monkeypatch)
     tau = ThresholdConfig({0: 1.0, 1: 1.0})
     inst = AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0, 1), budget=1)
     monkeypatch.setattr(attack, "solve_milp", lambda problem, start=None: MILPSolution(Status.ITERATION_LIMIT, None, None, 7))
-    result = run_attack(bank, tau, inst)
-    assert result.solver_status == "iteration_limit"
-    assert result.n_attacked == 0 and result.iterations == 14
+    with pytest.raises(attack.SolverLimitError):
+        run_attack(bank, tau, inst)
 
 
 def test_attack_linear_matches_highs_at_paper_scale():
@@ -1217,7 +1263,6 @@ def test_attack_nn_prefers_a_stealthy_target_to_the_no_op(monkeypatch):
     assert set(targets) == {0, 1}
     assert (result.target, result.solver_status, result.feasible) == (1, "optimal", True)
     assert result.objective == pytest.approx(-0.01, abs=1e-9)
-    assert attack.certify(result) is result
 
 
 def test_attack_linear_on_an_all_other_columns_bank_matches_enumeration():

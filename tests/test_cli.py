@@ -161,11 +161,28 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, section, valu
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "config, key", [({"model_famly": "neural"}, "model_famly"), ({"attack": {"budjet": 3}}, "attack.budjet")]
+)
+def test_misspelled_config_key_is_a_config_error(tmp_path, capsys, config, key):
+    """A key with no default exits 2 and is named by its dotted path, at the
+    top level and nested.  The optional plant keys, which are checked where
+    they are read, still load."""
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"version": 1, "output_dir": str(tmp_path / "run")} | config))
+    assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert f"unknown config key {key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    optional = {"overrides": {}, "csv": "data.csv", "roles": "data.roles.json"}
+    cfg_path.write_text(json.dumps({"plant": optional}))
+    assert {key: load_config(str(cfg_path))["plant"][key] for key in optional} == optional
+
+
 def test_config_types_follow_the_defaults(tmp_path):
     """An integer default takes an integral number as an ``int``; a float or
     ``null`` default takes any number as a ``float``, infinity included but
-    not NaN; keys without a default are not checked; a list element must
-    match the default's elements."""
+    not NaN; the optional keys without a default are not checked here; a
+    list element must match the default's elements."""
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps({"attack": {"eta": 0.5}, "defense": {"epsilon": 1}, "plant": {"overrides": {"noise_std": 0.1}}}))
     cfg = load_config(str(cfg_path))
@@ -261,8 +278,8 @@ def test_attack_exits_numeric_on_an_unstealthy_result(pipeline_dir, tmp_path, mo
     out, cfg_path = pipeline_dir
     run = tmp_path / "run"
     shutil.copytree(out, run)
-    real = attack.run_attack
-    monkeypatch.setattr(attack, "run_attack", lambda *args, **kwargs: replace(real(*args, **kwargs), feasible=False))
+    # Every attacked row now breaks some detector's threshold.
+    monkeypatch.setattr(attack, "stealth_margin", lambda bank, tau, rows: 1.0)
     assert main(["attack", "--config", str(cfg_path), "--out", str(run)]) == EXIT_NUMERIC
 
 

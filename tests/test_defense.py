@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import constant_bank, random_linear_setup
+from _helpers import constant_bank, random_linear_setup, stealth_breaking_solve
 from _oracle import oracle_attack_enumerate
 from resguard import attack, defense
 from resguard.attack import (
@@ -27,6 +27,7 @@ from resguard.detector import (
     fp_curve,
     train_bank,
 )
+from resguard.lp_milp import solve_milp
 from resguard.models import TrainConfig
 from resguard.plant import Column, Dataset, Nonlinearity, Role, desk_config, simulate, split_sequential
 
@@ -256,19 +257,16 @@ def test_impact_attacks_each_row_once_on_a_neural_bank(monkeypatch):
 
 
 def test_impact_certifies_every_target_not_only_the_best(monkeypatch):
-    """A non-stealthy ``optimal`` attack on a target that is not the row's
-    best is a certificate failure, though the best attack passes."""
+    """A non-stealthy ``optimal`` attack on the second target is a
+    certificate failure, though the first target's attack passes."""
     bank, tau = constant_bank(3, (0, 1), values=(0.0, 0.0), taus=(5.0, 5.0))
     inst = AttackInstance(y=np.zeros(3), sensor_columns=(0, 1, 2), critical=(0, 1), budget=1)
-    real = defense.run_attack
 
-    def unstealthy_second_target(*args, **kwargs):
-        result = real(*args, **kwargs)
-        good, other = result.per_target
-        bad = replace(other, feasible=False, solver_status="optimal")
-        return replace(good, per_target=(good, bad))
+    def unstealthy_second_target(problem, start=None):
+        return stealth_breaking_solve(problem) if problem.lp.objective[1] else solve_milp(problem, start=start)
 
-    monkeypatch.setattr(defense, "run_attack", unstealthy_second_target)
+    monkeypatch.setattr(attack, "solve_milp", unstealthy_second_target)
+    assert impact(bank, tau, np.zeros((2, 3)), replace(inst, critical=(0,))).per_sensor[0] == pytest.approx(5.0)
     with pytest.raises(NumericalError):
         impact(bank, tau, np.zeros((2, 3)), inst)
 

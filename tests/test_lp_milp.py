@@ -293,15 +293,27 @@ def test_degenerate_node_branches_on_the_most_fractional_binary():
         assert lp_milp._branch_var(lp, tableau, basis, lp.lower, lp.upper, candidates, values) == chosen
 
 
-def test_branching_on_a_binary_resting_on_a_fractional_bound():
-    """A binary bounded by [0, 0.5] is nonbasic and fractional at its upper
-    bound, and has no tableau row: no pivot moves it, so both of its
-    penalties are infinite and it is branched on first, also in an LP with
-    no rows at all."""
+def test_branching_candidates_are_basic(monkeypatch):
+    """Every fractional binary ``solve_milp`` hands ``_branch_var`` is basic
+    in the node's basis: ``MILPProblem`` rounds binary bounds to integers
+    and branching fixes binaries at 0 or 1, so a nonbasic binary rests on
+    an integer.  Checked on the random MILPs of the enumeration test and on
+    a binary bounded by [0, 0.5]."""
+    basic = []
+    real = lp_milp._branch_var
+
+    def branch_var(lp, tableau, basis, lo, hi, candidates, values):
+        basic.append(bool(np.isin(candidates, basis.basic).all()))
+        return real(lp, tableau, basis, lo, hi, candidates, values)
+
+    monkeypatch.setattr(lp_milp, "_branch_var", branch_var)
+    rng = np.random.default_rng(101)
+    problems = [_random_mixed_binary(rng) for _ in range(100)]
     lp = LinearProgram(np.array([-1.0, -1.0]), np.zeros((0, 2)), np.zeros(0), np.zeros(2), np.array([0.5, 1.0]))
-    basis = lp_milp.Basis(np.zeros(0, dtype=int), np.array([True, True]))
-    tableau = lp_milp._factor(lp, basis.basic)
-    assert lp_milp._branch_var(lp, tableau, basis, lp.lower, lp.upper, np.array([0]), np.array([0.5])) == 0
+    problems.append(MILPProblem(lp, frozenset({0})))
+    for problem in problems:
+        solve_milp(problem)
+    assert len(basic) > 10 and all(basic)
 
 
 def test_milp_deterministic():
