@@ -1234,6 +1234,33 @@ def test_attack_nn_reports_an_alarming_clean_row():
     assert result.n_attacked == 0
 
 
+@pytest.mark.parametrize(
+    "status, feasible, error",
+    [
+        pytest.param("optimal", True, None, id="optimal-stealthy"),
+        pytest.param("optimal", False, attack.NumericalError, id="optimal-unstealthy"),
+        pytest.param("clean_alarm", False, None, id="clean_alarm-alarming"),
+    ],
+)
+def test_run_attack_checks_iterative_results(monkeypatch, status, feasible, error):
+    """An iterative target's result as it comes back: a stealthy one and
+    the unstealthy ``clean_alarm`` no-op pass, any other unstealthy result
+    is a ``NumericalError``."""
+    bank = _tanh_bank(np.random.default_rng(5), 2)
+    tau = ThresholdConfig({0: 1.0, 1: 1.0})
+    inst = AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0,), budget=1)
+    result = attack.AttackResult(np.zeros(2), np.zeros(2), np.zeros(2, dtype=bool), 0, 0.0, feasible, 3, status)
+    monkeypatch.setattr(attack, "_attack_iterative", lambda *args: result)
+    cfg = Alg1Config(epsilon0=1.0, epsilon_min=0.5, n_max=1)
+    if error is not None:
+        with pytest.raises(error):
+            run_attack(bank, tau, inst, cfg)
+        return
+    out = run_attack(bank, tau, inst, cfg)
+    assert (out.solver_status, out.feasible, out.iterations) == (status, feasible, 3)
+    assert out.per_target == (result,)
+
+
 def test_attack_nn_prefers_a_stealthy_target_to_the_no_op(monkeypatch):
     """The clean row alarms.  Target 0's trust-region MILPs are all
     infeasible and the probe lattice misses the narrow stealthy band, so
