@@ -293,7 +293,9 @@ def solve_lp(
                 z[out] = hi[out] if at_upper[out] else lo[out]
                 sign[out] = (1.0 if at_upper[out] else -1.0) if movable[out] else 0.0
                 pivot_row = T[r] / T[r, q]
-                T -= np.outer(T[:, q], pivot_row)
+                # Rows with a zero in column q have nothing to subtract.
+                hit = np.flatnonzero(T[:, q])
+                T[hit] -= np.outer(T[hit, q], pivot_row)
                 T[r] = pivot_row
                 basic[r] = q
                 at_upper[q] = False

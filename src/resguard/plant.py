@@ -153,6 +153,8 @@ class PlantConfig:
         coupling = np.asarray(coupling, dtype=float)
         if coupling.shape != (d, d):
             raise ValueError(f"coupling must be {d}x{d}")
+        if not np.all(np.isfinite(coupling)):
+            raise ValueError("coupling must be finite")
         if nonlinearity == Nonlinearity.NONE or not self.nonlinear_channels:
             radius = max(abs(np.linalg.eigvals(coupling)))
             if radius >= 1.0:
@@ -163,9 +165,11 @@ class PlantConfig:
         setpoints = np.asarray(setpoints, dtype=float)
         if setpoints.shape != (d,):
             raise ValueError(f"setpoints must have length {d}")
+        if not np.all(np.isfinite(setpoints)):
+            raise ValueError("setpoints must be finite")
         noise = np.broadcast_to(np.asarray(self.noise_std, dtype=float), (d,)).copy()
-        if np.any(noise < 0):
-            raise ValueError("noise_std must be nonnegative")
+        if not np.all(np.isfinite(noise) & (noise >= 0)):
+            raise ValueError("noise_std must be finite and nonnegative")
         for ch in self.nonlinear_channels:
             if not 0 <= ch < d:
                 raise ValueError(f"nonlinear channel {ch} out of range")
@@ -186,6 +190,7 @@ _KP = 0.5          # proportional controller gain
 _CTRL_GAIN = 0.2   # influence of a control input on its paired sensor
 _NL_AMP = 2.0      # amplitude of the nonlinear readout
 _NL_BETA = 1.5     # input scale of the nonlinear readout
+_NOISE_BLOCK = 1024  # noise rows drawn per generator call; bounds memory
 
 
 def _nonlinear_readout(kind: Nonlinearity, z: float) -> float:
@@ -227,17 +232,23 @@ def simulate(config: PlantConfig, steps: int) -> Dataset:
     noise0 = rng.normal(0.0, config.noise_std)
     x = apply_readouts(sp + noise0, noise0)
     u = np.zeros(m)  # no measurement seen yet
+    sp_ctrl = sp[ctrl_map]
     rows = np.empty((steps, d + m))
     for t in range(steps):
+        if t % _NOISE_BLOCK == 0:
+            # Row-major draws consume the stream in the order one draw per
+            # step would, so the trajectory does not depend on the block size.
+            noise_block = rng.normal(0.0, config.noise_std, size=(min(_NOISE_BLOCK, steps - t), d))
         rows[t, :d] = x
         rows[t, d:] = u
         if np.max(np.abs(x), initial=0.0) > INSTABILITY_LIMIT:
             raise InstabilityError(f"trajectory magnitude exceeded {INSTABILITY_LIMIT:g} at step {t}")
-        u_next = _KP * (sp[ctrl_map] - x[ctrl_map]) if m else np.empty(0)
-        noise = rng.normal(0.0, config.noise_std)
+        u_next = _KP * (sp_ctrl - x[ctrl_map]) if m else np.empty(0)
+        noise = noise_block[t % _NOISE_BLOCK]
         nxt = sp + config.coupling @ (x - sp) + noise
-        for j in range(m):
-            nxt[ctrl_map[j]] += _CTRL_GAIN * u[j]
+        # Unbuffered and in index order, so controls sharing a sensor add up
+        # in the same order as one addition per control.
+        np.add.at(nxt, ctrl_map, _CTRL_GAIN * u)
         x, u = apply_readouts(nxt, noise), u_next
 
     columns = [
@@ -300,8 +311,10 @@ def save_csv(data: Dataset, csv_path, role_map_path) -> None:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(data.names)
-        for t in range(data.n_rows):
-            writer.writerow([repr(float(v)) for v in data.values[t]])
+        # A float repr never needs quoting, so joining the cells writes the
+        # bytes ``writer.writerow`` would.
+        for row in data.values:
+            fh.write(",".join(map(repr, row.tolist())) + writer.dialect.lineterminator)
     role_map = {
         "columns": [{"name": c.name, "role": c.role.value} for c in data.columns],
         "timestep_seconds": data.timestep,
@@ -340,15 +353,17 @@ def load_csv(csv_path, role_map_path) -> Dataset:
             if name not in roles:
                 raise CsvParseError(f"column {name!r} missing from role map", column=name)
             columns.append(Column(name, roles[name]))
-        rows = list(reader)
+        lines = fh.readlines()
     values = None
-    if all(len(raw) == len(header) for raw in rows):
+    if lines:
         try:
-            values = np.array(rows, dtype=float)
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass  # a bad cell: the per-cell parse names it
-    if values is None:
-        values = _parse_cells(rows, header)
+    # One row per line or none: loadtxt skips blank lines, which are ragged
+    # rows here, and reads no quoted cell, so those take the per-cell parse.
+    if values is None or values.shape != (len(lines), len(header)):
+        values = _parse_cells(list(csv.reader(lines)), header)
     return Dataset(tuple(columns), values, timestep=timestep)
 
 

@@ -488,15 +488,6 @@ def test_attack_linear_reports_numerical_lp(monkeypatch):
         run_attack(bank, tau, inst)
 
 
-def test_attack_linear_without_an_incumbent_at_the_node_cap_says_so(monkeypatch):
-    bank = _identity_pair_bank(mutual=True)
-    tau = ThresholdConfig({0: 1.0, 1: 1.0})
-    inst = AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0, 1), budget=1)
-    monkeypatch.setattr(attack, "solve_milp", lambda problem, start=None: MILPSolution(Status.ITERATION_LIMIT, None, None, 7))
-    with pytest.raises(attack.SolverLimitError):
-        run_attack(bank, tau, inst)
-
-
 def test_attack_linear_matches_highs_at_paper_scale():
     """Exact attack vs scipy's HiGHS on the paper preset (41 sensors, 5
     critical), test row 0, budgets 1-3, every critical target.

@@ -359,6 +359,26 @@ def test_plant_overrides_given_as_plain_json(tmp_path):
         assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"noise_std": math.nan}, id="nan-noise"),
+        pytest.param({"setpoints": [math.inf] + [1.0] * 7}, id="infinite-setpoint"),
+    ],
+)
+def test_non_finite_plant_overrides_write_nothing(tmp_path, capsys, overrides):
+    """JSON reads ``NaN`` and ``Infinity``; ``simulate`` refuses such a plant
+    before it creates the output directory."""
+    out = tmp_path / "run"
+    config = {"version": 1, "seed": 7, "output_dir": str(out)}
+    config["plant"] = {"preset": "desk", "steps": 300, "overrides": overrides}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "bad plant overrides" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _best_per_sensor_row(path: Path) -> dict:
     """The row of ``per_sensor.csv`` with the lowest attacked value, the
     earlier sensor winning a tie."""

@@ -1,8 +1,11 @@
 import csv
+import io
+import math
 
 import numpy as np
 import pytest
 
+from resguard import plant
 from resguard.plant import (
     Column,
     CsvParseError,
@@ -32,6 +35,68 @@ def test_zero_coupling_fixed_point():
     data = simulate(cfg, 10)
     assert data.n_rows == 10
     assert np.allclose(data.values[2:, :2], 1.0)
+
+
+def _simulate_per_step(config: PlantConfig, steps: int) -> np.ndarray:
+    """``simulate``'s matrix drawn one noise vector per step, with one gain
+    addition per control: the reference the blocked draws must match bit for
+    bit.  Assumes a stable trajectory."""
+    d, m = config.n_sensors, config.n_controls
+    sp = config.setpoints
+    rng = np.random.default_rng(config.seed)
+    nl_set = sorted(config.nonlinear_channels) if config.nonlinearity != Nonlinearity.NONE else []
+    ctrl_map = np.array([j % d for j in range(m)], dtype=int)
+    zscale = math.sqrt(max(1, d - 1))
+
+    def apply_readouts(vec, noise):
+        base = vec.copy()
+        for ch in nl_set:
+            z = float(np.sum(np.delete(base - sp, ch))) / zscale
+            vec[ch] = sp[ch] + plant._nonlinear_readout(config.nonlinearity, z) + noise[ch]
+        return vec
+
+    noise0 = rng.normal(0.0, config.noise_std)
+    x = apply_readouts(sp + noise0, noise0)
+    u = np.zeros(m)
+    rows = np.empty((steps, d + m))
+    for t in range(steps):
+        rows[t, :d] = x
+        rows[t, d:] = u
+        u_next = plant._KP * (sp[ctrl_map] - x[ctrl_map])
+        noise = rng.normal(0.0, config.noise_std)
+        nxt = sp + config.coupling @ (x - sp) + noise
+        for j in range(m):
+            nxt[ctrl_map[j]] += plant._CTRL_GAIN * u[j]
+        x, u = apply_readouts(nxt, noise), u_next
+    return rows
+
+
+@pytest.mark.parametrize(
+    "config, steps",
+    [
+        pytest.param(desk_config(seed=7), 2100, id="desk"),
+        pytest.param(desk_config(seed=7, nonlinearity="tanh", nonlinear_channels=(0,)), 300, id="desk-tanh"),
+        pytest.param(paper_scale_config(seed=7), 7200, id="paper"),
+        pytest.param(
+            PlantConfig(
+                n_sensors=3,
+                n_controls=5,
+                coupling=0.3 * np.eye(3),
+                noise_std=[0.5, 0.0, 0.2],
+                setpoints=[1.0, 2.0, 3.0],
+                seed=7,
+            ),
+            1500,
+            id="shared-control-sensor-and-noiseless-channel",
+        ),
+    ],
+)
+def test_simulate_matches_the_per_step_loop_bit_for_bit(config, steps):
+    """Noise drawn in blocks and gains added in one ordered scatter give the
+    matrix of one draw and one addition per step, across block boundaries
+    and with two controls on one sensor."""
+    values = simulate(config, steps).values
+    assert np.array_equal(values.view(np.uint64), _simulate_per_step(config, steps).view(np.uint64))
 
 
 def test_simulate_deterministic():
@@ -108,6 +173,22 @@ def test_quadratic_readout():
     assert np.ptp(sensors[:, 0]) > 1.0  # the readout moves
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("coupling", np.full((8, 8), np.nan)),
+        ("setpoints", [np.inf] + [1.0] * 7),
+        ("noise_std", np.nan),
+        ("noise_std", np.inf),
+    ],
+)
+def test_non_finite_plant_parameters_rejected(field, value):
+    """Checked up front, also where a nonlinear channel skips the spectral
+    radius check."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        desk_config(nonlinearity="tanh", nonlinear_channels=(0,), **{field: value})
+
+
 def test_desk_and_paper_templates():
     desk = desk_config()
     assert desk.n_sensors == 8 and desk.n_controls == 2
@@ -126,6 +207,21 @@ def test_csv_round_trip(tmp_path):
     loaded = load_csv(csv_path, roles_path)
     assert loaded.columns == data.columns and loaded.timestep == data.timestep
     assert np.array_equal(loaded.values, data.values)
+
+
+def test_save_csv_writes_what_csv_writer_writes(tmp_path):
+    """The same bytes as ``csv.writer`` given ``repr`` of each cell, signed
+    zeros, subnormals and the largest floats included."""
+    data = simulate(desk_config(seed=5), 40)
+    values = data.values.copy()
+    values[0, :6] = (-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308, 0.0)
+    dataset = Dataset(data.columns, values)
+    save_csv(dataset, tmp_path / "d.csv", tmp_path / "d.roles.json")
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(dataset.names)
+    writer.writerows([repr(float(v)) for v in row] for row in dataset.values)
+    assert (tmp_path / "d.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_load_csv_matrix_is_bit_equal_to_per_cell_parse(tmp_path):
@@ -154,10 +250,17 @@ def test_load_csv_matrix_is_bit_equal_to_per_cell_parse(tmp_path):
         ("a,b\n3,4\n1,x\n3\n", "non-numeric cell 'x' at row 1, column 'b'", 1),
         ("a,b\n3,4\n1\n1,x\n", "row 1 has 1 cells, expected 2", 1),
         ("a,b\n3,4\n \t,2\n", "blank cell at row 1, column 'a'", 1),
+        ("a,b\n1,2\n\n3,4\n", "row 1 has 0 cells, expected 2", 1),
+        ("a,b\n1,2\n3,4\n\n", "row 2 has 0 cells, expected 2", 2),
+        ("a,b\n1,2\r3,4\n\n", "row 2 has 0 cells, expected 2", 2),
+        ("a,b\n1,2\n  \n3,4\n", "row 1 has 1 cells, expected 2", 1),
+        ("a,b\n1,2\n#3,4\n", "non-numeric cell '#3' at row 1, column 'a'", 1),
+        ("a,b\n1,2,\n3,4,\n", "row 0 has 3 cells, expected 2", 0),
     ],
 )
 def test_load_csv_names_the_first_bad_row(tmp_path, body, fragment, row):
-    """Whichever comes first, a bad cell or a ragged row, is the one named."""
+    """Whichever comes first, a bad cell or a ragged row, is the one named.
+    A blank line is a ragged row and ``#`` starts no comment."""
     (tmp_path / "t.csv").write_text(body)
     (tmp_path / "t.json").write_text(
         '{"columns": [{"name": "a", "role": "critical"}, {"name": "b", "role": "non_critical"}]}'
@@ -165,6 +268,37 @@ def test_load_csv_names_the_first_bad_row(tmp_path, body, fragment, row):
     with pytest.raises(CsvParseError) as exc:
         load_csv(tmp_path / "t.csv", tmp_path / "t.json")
     assert str(exc.value) == fragment and exc.value.row == row
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        pytest.param('a,b\n"1",2\n3,"4"\n', [[1.0, 2.0], [3.0, 4.0]], id="quoted"),
+        pytest.param('a,b\n"1\n",2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]], id="quoted-newline"),
+        pytest.param("a,b\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]], id="crlf"),
+        pytest.param("a,b\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]], id="lone-cr"),
+        pytest.param("a,b\n1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]], id="no-final-newline"),
+        pytest.param("a,b\n1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]], id="underscore"),
+    ],
+)
+def test_load_csv_reads_cells_as_the_csv_module_and_float_do(tmp_path, body, expected):
+    """Quoting and line endings as ``csv.reader`` reads them, cells as
+    ``float`` reads them."""
+    (tmp_path / "t.csv").write_bytes(body.encode())
+    (tmp_path / "t.json").write_text(
+        '{"columns": [{"name": "a", "role": "critical"}, {"name": "b", "role": "non_critical"}]}'
+    )
+    assert load_csv(tmp_path / "t.csv", tmp_path / "t.json").values.tolist() == expected
+
+
+def test_load_csv_header_only_is_no_dataset(tmp_path):
+    (tmp_path / "t.csv").write_text("a,b\n")
+    (tmp_path / "t.json").write_text(
+        '{"columns": [{"name": "a", "role": "critical"}, {"name": "b", "role": "non_critical"}]}'
+    )
+    with pytest.raises(ValueError, match="values must be a 2-D matrix") as exc:
+        load_csv(tmp_path / "t.csv", tmp_path / "t.json")
+    assert not isinstance(exc.value, CsvParseError)
 
 
 def test_load_csv_small(tmp_path):
