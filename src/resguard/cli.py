@@ -202,10 +202,9 @@ def _load_dataset(cfg: dict, out: Path) -> plant_mod.Dataset:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    pconf = _plant_config(cfg)
+    data = plant_mod.simulate(_plant_config(cfg), cfg["plant"]["steps"])
     out = _out_dir(cfg)
     (out / "data").mkdir(parents=True, exist_ok=True)
-    data = plant_mod.simulate(pconf, cfg["plant"]["steps"])
     plant_mod.save_csv(data, out / "data" / "clean.csv", out / "data" / "roles.json")
     print(f"simulate: wrote {data.n_rows} rows x {data.n_columns} columns to {out / 'data'}")
     return EXIT_OK

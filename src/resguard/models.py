@@ -213,16 +213,35 @@ def _init_layers(k: int, hidden: tuple[int, ...], rng: np.random.Generator):
     return layers
 
 
-def _forward_batch(layers, X: np.ndarray):
-    """Forward pass over a batch; returns hidden activations and outputs."""
+def _layer_views(flat: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into one flat vector, layer by layer, for the given widths."""
+    views, at = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        W = flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in)
+        at += W.size
+        views.append((W, flat[at : at + fan_out]))
+        at += fan_out
+    return views
+
+
+def _forward_batch(layers, X: np.ndarray, bufs=None):
+    """Forward pass over a batch; returns hidden activations and outputs.
+
+    ``bufs``, if given, holds one (rows, width) array per layer, the output
+    layer's of width 1, and receives the activations and outputs in place.
+    """
+    bufs = bufs or [None] * len(layers)
     acts = []
     H = X
-    for W, b in layers[:-1]:
-        H = np.tanh(H @ W.T + b)
+    for (W, b), buf in zip(layers[:-1], bufs):
+        H = np.matmul(H, W.T, out=buf)
+        H += b
+        np.tanh(H, out=H)
         acts.append(H)
     W_out, b_out = layers[-1]
-    out = H @ W_out.T + b_out
-    return acts, out.ravel()
+    Z = np.matmul(H, W_out.T, out=bufs[-1])
+    Z += b_out
+    return acts, Z.ravel()
 
 
 def fit_nn(features, targets, cfg: TrainConfig, feature_names: tuple[str, ...] = ()) -> NeuralModel:
@@ -231,6 +250,12 @@ def fit_nn(features, targets, cfg: TrainConfig, feature_names: tuple[str, ...] =
     Deterministic given ``cfg.seed``.  Parameters from the best epoch are
     returned, so the final training MSE never exceeds the initial one.
     Raises :class:`TrainingDivergedError` if the loss becomes non-finite.
+
+    All weights, gradients and Adam moments live in flat vectors with
+    per-layer views, and every epoch writes into buffers allocated once, so
+    an epoch costs a fixed set of numpy calls and no allocation.  Each
+    element still goes through the same IEEE operations in the same order
+    as a per-layer, out-of-place loop would take it.
     """
     X = _as_matrix(features)
     y = np.asarray(targets, dtype=float).ravel()
@@ -244,60 +269,76 @@ def fit_nn(features, targets, cfg: TrainConfig, feature_names: tuple[str, ...] =
     Xn = scaler.transform_x(X)
     yn = scaler.transform_y(y)
 
+    hidden = cfg.hidden_layers
+    sizes = [k, *hidden, 1]
     rng = np.random.default_rng(cfg.seed)
-    layers = _init_layers(k, cfg.hidden_layers, rng)
-    m_state = [[np.zeros_like(W), np.zeros_like(b)] for W, b in layers]
-    v_state = [[np.zeros_like(W), np.zeros_like(b)] for W, b in layers]
+    params = np.concatenate([a.ravel() for layer in _init_layers(k, hidden, rng) for a in layer])
+    grad, m, v, step, denom = (np.zeros_like(params) for _ in range(5))
+    layers, grads = _layer_views(params, sizes), _layer_views(grad, sizes)
+    fwd = [np.empty((T, h)) for h in (*hidden, 1)]
+    inputs = [Xn, *fwd[:-1]]
+    backs = [np.empty((T, h)) for h in hidden]
+    dtanh = [np.empty((T, h)) for h in hidden]
+    err, sq, delta = np.empty(T), np.empty(T), np.empty((T, 1))
 
-    def loss_of(params):
-        _, out = _forward_batch(params, Xn)
+    def loss_of():
+        _, out = _forward_batch(layers, Xn, fwd)
         return float(np.mean((out - yn) ** 2))
 
-    best_loss = loss_of(layers)
-    best = [[W.copy(), b.copy()] for W, b in layers]
+    best_loss = loss_of()
+    best = params.copy()
 
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate  # Adam's standard decays and guard
     for epoch in range(1, cfg.epochs + 1):
-        acts, out = _forward_batch(layers, Xn)
-        err = out - yn
+        acts, out = _forward_batch(layers, Xn, fwd)
+        np.subtract(out, yn, out=err)
         with np.errstate(over="ignore", invalid="ignore"):
-            loss = float(np.mean(err**2))
+            loss = float(np.add.reduce(np.square(err, out=sq)) / T)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch)
         if loss < best_loss:
             best_loss = loss
-            best = [[W.copy(), b.copy()] for W, b in layers]
+            best[:] = params
 
-        # Backprop: d(loss)/d(out) then chain through tanh layers.
-        grads = [None] * len(layers)
-        delta = (2.0 / T) * err[:, None]
-        inputs = [Xn, *acts]
-        W_out, _ = layers[-1]
-        grads[-1] = [delta.T @ inputs[-1], delta.sum(axis=0)]
-        back = delta @ W_out
+        # Backprop: d(loss)/d(out) then chain through tanh layers.  The
+        # output layer has one unit, so ``delta @ W_out`` has inner size 1
+        # and each entry is one product: a broadcast multiply gives the same
+        # values (at most the sign of an exact zero differs, which Adam's
+        # moments, starting at +0, never pass on to a weight).
+        np.multiply(err[:, None], 2.0 / T, out=delta)
+        np.matmul(delta.T, acts[-1], out=grads[-1][0])
+        np.sum(delta, axis=0, out=grads[-1][1])
+        back = np.multiply(delta, layers[-1][0], out=backs[-1])
         for i in range(len(layers) - 2, -1, -1):
-            back = back * (1.0 - acts[i] ** 2)
-            grads[i] = [back.T @ inputs[i], back.sum(axis=0)]
+            np.subtract(1.0, np.square(acts[i], out=dtanh[i]), out=dtanh[i])
+            back *= dtanh[i]
+            np.matmul(back.T, inputs[i], out=grads[i][0])
+            np.sum(back, axis=0, out=grads[i][1])
             if i > 0:
-                back = back @ layers[i][0]
+                back = np.matmul(back, layers[i][0], out=backs[i - 1])
 
+        # Adam, elementwise over the flat vectors in the textbook order:
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+        # p = p - lr*(m/corr1) / (sqrt(v/corr2) + eps).
         corr1 = 1.0 - b1**epoch
         corr2 = 1.0 - b2**epoch
-        for li in range(len(layers)):
-            for pi in range(2):
-                g = grads[li][pi]
-                m_state[li][pi] = b1 * m_state[li][pi] + (1 - b1) * g
-                v_state[li][pi] = b2 * v_state[li][pi] + (1 - b2) * g**2
-                m_hat = m_state[li][pi] / corr1
-                v_hat = v_state[li][pi] / corr2
-                layers[li][pi] = layers[li][pi] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= b1
+        m += np.multiply(grad, 1 - b1, out=step)
+        v *= b2
+        v += np.multiply(np.square(grad, out=step), 1 - b2, out=step)
+        np.divide(m, corr1, out=step)
+        step *= lr
+        np.divide(v, corr2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        params -= step
 
-    final_loss = loss_of(layers)
+    final_loss = loss_of()
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(cfg.epochs)
-    if final_loss < best_loss:
-        best = layers
-    return NeuralModel(tuple((W, b) for W, b in best), feature_names or (), scaler)
+    chosen = layers if final_loss < best_loss else _layer_views(best, sizes)
+    return NeuralModel(tuple((W.copy(), b.copy()) for W, b in chosen), feature_names or (), scaler)
 
 
 def _check_dim(model: Model, x: np.ndarray) -> np.ndarray:

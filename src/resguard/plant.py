@@ -328,7 +328,8 @@ def load_csv(csv_path, role_map_path) -> Dataset:
     """Load a dataset from CSV with a JSON role map sidecar.
 
     Raises :class:`CsvParseError` naming the offending row/column for
-    non-numeric cells, ragged rows, or unknown role names.
+    non-numeric cells, ragged rows, unknown role names, or a header with
+    no data rows.
     """
     with open(role_map_path) as fh:
         role_map = json.load(fh)
@@ -354,12 +355,12 @@ def load_csv(csv_path, role_map_path) -> Dataset:
                 raise CsvParseError(f"column {name!r} missing from role map", column=name)
             columns.append(Column(name, roles[name]))
         lines = fh.readlines()
-    values = None
-    if lines:
-        try:
-            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass  # a bad cell: the per-cell parse names it
+    if not lines:
+        raise CsvParseError("CSV file has a header but no data rows", row=1)
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        values = None  # a bad cell: the per-cell parse names it
     # One row per line or none: loadtxt skips blank lines, which are ragged
     # rows here, and reads no quoted cell, so those take the per-cell parse.
     if values is None or values.shape != (len(lines), len(header)):

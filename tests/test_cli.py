@@ -360,22 +360,24 @@ def test_plant_overrides_given_as_plain_json(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "plant, message",
     [
-        pytest.param({"noise_std": math.nan}, id="nan-noise"),
-        pytest.param({"setpoints": [math.inf] + [1.0] * 7}, id="infinite-setpoint"),
+        pytest.param({"overrides": {"noise_std": math.nan}}, "bad plant overrides", id="nan-noise"),
+        pytest.param({"overrides": {"setpoints": [math.inf] + [1.0] * 7}}, "bad plant overrides", id="infinite-setpoint"),
+        pytest.param({"steps": 1}, "steps must be at least 2", id="one-step"),
+        pytest.param({"steps": 0}, "steps must be at least 2", id="no-steps"),
     ],
 )
-def test_non_finite_plant_overrides_write_nothing(tmp_path, capsys, overrides):
-    """JSON reads ``NaN`` and ``Infinity``; ``simulate`` refuses such a plant
-    before it creates the output directory."""
+def test_non_finite_plant_overrides_write_nothing(tmp_path, capsys, plant, message):
+    """JSON reads ``NaN`` and ``Infinity``; ``simulate`` refuses such a plant,
+    or one of fewer than 2 steps, before it creates the output directory."""
     out = tmp_path / "run"
     config = {"version": 1, "seed": 7, "output_dir": str(out)}
-    config["plant"] = {"preset": "desk", "steps": 300, "overrides": overrides}
+    config["plant"] = {"preset": "desk", "steps": 300, **plant}
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
-    assert "bad plant overrides" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from _helpers import finite_difference_gradient, random_neural_model
+from resguard import detector, plant
 from resguard.models import (
     EnsembleModel,
     LinearModel,
     NeuralModel,
+    Scaler,
     TrainConfig,
     TrainingDivergedError,
     fit_linear,
@@ -21,6 +23,7 @@ from resguard.models import (
     predict_batch,
     taylor_linearize,
 )
+from resguard.models import _as_matrix, _init_layers
 
 
 def test_fit_linear_exact_line():
@@ -113,6 +116,180 @@ def test_fit_nn_divergence_reports_epoch():
     with pytest.raises(TrainingDivergedError) as exc:
         fit_nn(X, y, TrainConfig(epochs=10, learning_rate=1e160, hidden_layers=(4,), seed=0))
     assert exc.value.epoch >= 1
+
+
+def _forward_batch_reference(layers, X):
+    acts = []
+    H = X
+    for W, b in layers[:-1]:
+        H = np.tanh(H @ W.T + b)
+        acts.append(H)
+    W_out, b_out = layers[-1]
+    out = H @ W_out.T + b_out
+    return acts, out.ravel()
+
+
+def _fit_nn_reference(features, targets, cfg, feature_names=()):
+    """The per-layer, out-of-place full-batch Adam loop that ``fit_nn`` must match bit for bit."""
+    X = _as_matrix(features)
+    y = np.asarray(targets, dtype=float).ravel()
+    T, k = X.shape
+    if T < 2 or k == 0:
+        raise ValueError("need at least 2 rows and 1 feature")
+    if y.size != T:
+        raise ValueError("targets length does not match features")
+
+    scaler = Scaler.fit(X, y)
+    Xn = scaler.transform_x(X)
+    yn = scaler.transform_y(y)
+
+    rng = np.random.default_rng(cfg.seed)
+    layers = _init_layers(k, cfg.hidden_layers, rng)
+    m_state = [[np.zeros_like(W), np.zeros_like(b)] for W, b in layers]
+    v_state = [[np.zeros_like(W), np.zeros_like(b)] for W, b in layers]
+
+    def loss_of(params):
+        _, out = _forward_batch_reference(params, Xn)
+        return float(np.mean((out - yn) ** 2))
+
+    best_loss = loss_of(layers)
+    best = [[W.copy(), b.copy()] for W, b in layers]
+
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
+    for epoch in range(1, cfg.epochs + 1):
+        acts, out = _forward_batch_reference(layers, Xn)
+        err = out - yn
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = float(np.mean(err**2))
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(epoch)
+        if loss < best_loss:
+            best_loss = loss
+            best = [[W.copy(), b.copy()] for W, b in layers]
+
+        grads = [None] * len(layers)
+        delta = (2.0 / T) * err[:, None]
+        inputs = [Xn, *acts]
+        W_out, _ = layers[-1]
+        grads[-1] = [delta.T @ inputs[-1], delta.sum(axis=0)]
+        back = delta @ W_out
+        for i in range(len(layers) - 2, -1, -1):
+            back = back * (1.0 - acts[i] ** 2)
+            grads[i] = [back.T @ inputs[i], back.sum(axis=0)]
+            if i > 0:
+                back = back @ layers[i][0]
+
+        corr1 = 1.0 - b1**epoch
+        corr2 = 1.0 - b2**epoch
+        for li in range(len(layers)):
+            for pi in range(2):
+                g = grads[li][pi]
+                m_state[li][pi] = b1 * m_state[li][pi] + (1 - b1) * g
+                v_state[li][pi] = b2 * v_state[li][pi] + (1 - b2) * g**2
+                m_hat = m_state[li][pi] / corr1
+                v_hat = v_state[li][pi] / corr2
+                layers[li][pi] = layers[li][pi] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    final_loss = loss_of(layers)
+    if not np.isfinite(final_loss):
+        raise TrainingDivergedError(cfg.epochs)
+    if final_loss < best_loss:
+        best = layers
+    return NeuralModel(tuple((W, b) for W, b in best), feature_names or (), scaler)
+
+
+def _one_net(data_seed, shape, target, **cfg):
+    """One net on ``shape`` standard normal features drawn from ``data_seed``; ``target(X, rng)`` gives y."""
+    rng = np.random.default_rng(data_seed)
+    X = rng.normal(size=shape)
+    y = target(X, rng)
+    return lambda fit: [fit(X, y, TrainConfig(**cfg))]
+
+
+def _desk_tanh_bank(fit):
+    """Nets of the seed 7 desk tanh bank over the critical sensors, 300 epochs."""
+    cfg = plant.desk_config(seed=7, nonlinearity=plant.Nonlinearity.TANH, nonlinear_channels=(0,))
+    train, _ = plant.split_sequential(plant.simulate(cfg, 1200), 0.8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detector, "fit_nn", fit)
+        bank = detector.train_bank(train, family="neural", train_cfg=TrainConfig(epochs=300, seed=7))
+    return [bank.detectors[s].model for s in bank.detector_set]
+
+
+def _line(fit):
+    X = np.linspace(-1.0, 1.0, 200).reshape(-1, 1)
+    return [fit(X, np.tanh(3.0 * X).ravel(), TrainConfig(epochs=1500, hidden_layers=(16,), seed=2))]
+
+
+def _constant_column(X, rng):
+    X[:, 1] = 3.0
+    return X[:, 0] - 0.5 * X[:, 2]
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        pytest.param(
+            _one_net(1, (60, 3), lambda X, rng: np.zeros(60), epochs=600, hidden_layers=(8,), seed=4),
+            id="zero-targets",
+        ),
+        pytest.param(_line, id="tanh-line"),
+        pytest.param(
+            _one_net(5, (40, 2), lambda X, rng: X[:, 0] * X[:, 1], epochs=50, hidden_layers=(6,), seed=9),
+            id="product",
+        ),
+        pytest.param(
+            _one_net(
+                23,
+                (60, 3),
+                lambda X, rng: X @ np.array([1.0, 2.0, -1.0]) + 0.5 + rng.normal(0.0, 0.1, 60),
+                epochs=40,
+                hidden_layers=(5,),
+                seed=1,
+            ),
+            id="serialization",
+        ),
+        pytest.param(
+            _one_net(3, (2, 2), lambda X, rng: rng.normal(size=2), epochs=200, hidden_layers=(3, 5, 2), seed=3),
+            id="two-rows-3-5-2",
+        ),
+        pytest.param(
+            _one_net(41, (50, 3), _constant_column, epochs=300, hidden_layers=(6,), seed=5),
+            id="constant-column",
+        ),
+        pytest.param(
+            _one_net(
+                11, (60, 3), lambda X, rng: np.sin(X).sum(axis=1), epochs=200, hidden_layers=(16, 16, 16, 8), seed=11
+            ),
+            id="16-16-16-8",
+        ),
+        pytest.param(
+            _one_net(
+                6, (30, 2), lambda X, rng: rng.normal(size=30), epochs=10, learning_rate=1e160, hidden_layers=(4,), seed=0
+            ),
+            id="divergence",
+        ),
+        pytest.param(_desk_tanh_bank, id="desk-tanh-bank"),
+    ],
+)
+def test_fit_nn_matches_the_reference_loop_bit_for_bit(train):
+    try:
+        ref = train(_fit_nn_reference)
+    except TrainingDivergedError as diverged:
+        with pytest.raises(TrainingDivergedError) as ours:
+            train(fit_nn)
+        assert ours.value.epoch == diverged.epoch
+        return
+    nets = train(fit_nn)
+    arrays = []
+    for ours, theirs in zip(nets, ref, strict=True):
+        assert len(ours.layers) == len(theirs.layers)
+        for (W, b), (W_ref, b_ref) in zip(ours.layers, theirs.layers):
+            assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+            arrays += [W, b]
+    assert all(a.flags.owndata for a in arrays)
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, other) for other in arrays[i + 1 :])
 
 
 def test_predict_linear_and_dimension_check():

@@ -296,9 +296,9 @@ def test_load_csv_header_only_is_no_dataset(tmp_path):
     (tmp_path / "t.json").write_text(
         '{"columns": [{"name": "a", "role": "critical"}, {"name": "b", "role": "non_critical"}]}'
     )
-    with pytest.raises(ValueError, match="values must be a 2-D matrix") as exc:
+    with pytest.raises(CsvParseError, match="no data rows") as exc:
         load_csv(tmp_path / "t.csv", tmp_path / "t.json")
-    assert not isinstance(exc.value, CsvParseError)
+    assert exc.value.row == 1
 
 
 def test_load_csv_small(tmp_path):
