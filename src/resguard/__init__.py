@@ -31,9 +31,7 @@ from .models import (
     TrainingDivergedError,
     fit_linear,
     fit_nn,
-    jacobian,
     normalized_mse,
-    predict,
     predict_batch,
     taylor_linearize,
 )
@@ -42,7 +40,6 @@ from .detector import (
     FPCurve,
     PredictorBank,
     ThresholdConfig,
-    alarms,
     calibrate_baseline,
     fp_curve,
     fp_inverse,

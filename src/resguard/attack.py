@@ -45,11 +45,12 @@ class Direction(str, Enum):
 class AttackInstance:
     """One timestep's attack problem.
 
-    ``y`` is the full measurement row (sensors and controls); only columns
-    in ``attackable`` (default ``None``: every sensor) may be perturbed, and
-    control columns never qualify.
-    ``eta`` limits each perturbation (``inf`` defers to the per-sensor box
-    ``[box_lo, box_hi]``, which also keeps the optimization bounded).
+    ``y`` is the full measurement row (sensors and controls); only sensor
+    columns may be perturbed.  ``eta`` limits each perturbation (``inf``
+    defers to the per-sensor box ``[box_lo, box_hi]``, which also keeps the
+    optimization bounded), so ``eta[s] = 0`` keeps sensor ``s`` clean.
+    ``attackable`` is derived: the sensors whose perturbation bounds allow a
+    nonzero value.
     """
 
     y: np.ndarray
@@ -57,10 +58,10 @@ class AttackInstance:
     critical: tuple[int, ...]
     budget: int
     eta: np.ndarray | float = math.inf
-    attackable: frozenset[int] | None = None
     direction: Direction = Direction.MINIMIZE
     box_lo: np.ndarray | None = None
     box_hi: np.ndarray | None = None
+    attackable: frozenset[int] = field(init=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -73,11 +74,8 @@ class AttackInstance:
         critical = tuple(int(s) for s in self.critical)
         if not critical or any(s not in sensors for s in critical):
             raise ValueError("critical sensors must be sensor columns")
-        attackable = frozenset(sensors if self.attackable is None else (int(s) for s in self.attackable))
-        if any(s not in sensors for s in attackable):
-            raise ValueError("attackable set must contain only sensor columns")
-        if self.budget < 0 or self.budget > len(attackable):
-            raise ValueError(f"budget {self.budget} outside [0, {len(attackable)}]")
+        if self.budget < 0 or self.budget > len(sensors):
+            raise ValueError(f"budget {self.budget} outside [0, {len(sensors)}]")
         eta = np.broadcast_to(np.asarray(self.eta, dtype=float), (d,)).copy()
         if np.any(eta < 0):
             raise ValueError("eta must be nonnegative")
@@ -91,18 +89,19 @@ class AttackInstance:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "sensor_columns", sensors)
         object.__setattr__(self, "critical", critical)
-        object.__setattr__(self, "attackable", attackable)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "direction", Direction(self.direction))
         object.__setattr__(self, "box_lo", box_lo)
         object.__setattr__(self, "box_hi", box_hi)
         lo = np.maximum(-eta, box_lo - y)
         hi = np.minimum(eta, box_hi - y)
-        mask = np.ones(d, dtype=bool)
-        mask[list(attackable)] = False
-        lo[mask] = 0.0
-        hi[mask] = 0.0
+        movable = np.zeros(d, dtype=bool)
+        movable[list(sensors)] = True
+        movable &= (lo < 0.0) | (hi > 0.0)
+        lo[~movable] = 0.0
+        hi[~movable] = 0.0
         lo.flags.writeable = hi.flags.writeable = False
+        object.__setattr__(self, "attackable", frozenset(np.flatnonzero(movable).tolist()))
         object.__setattr__(self, "_delta_bounds", (lo, hi))
 
     def delta_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -117,17 +116,15 @@ class AttackInstance:
 
 def instance_from_dataset(
     data: Dataset,
-    row: int | np.ndarray,
+    y: np.ndarray,
     budget: int,
     eta: np.ndarray | float = math.inf,
     direction: Direction = Direction.MINIMIZE,
-    attackable=None,
     critical=None,
 ) -> AttackInstance:
-    """Build an instance from a dataset row, boxing sensors by the clean
-    data range widened by 10x its span.  ``attackable=None`` means every
-    sensor."""
-    y = data.row(row) if isinstance(row, (int, np.integer)) else np.asarray(row, dtype=float)
+    """Build an instance at measurement row ``y``, boxing sensors by the
+    clean data range of ``data`` widened by 10x its span."""
+    y = np.asarray(y, dtype=float)
     sensors = data.sensor_columns()
     lo = data.values.min(axis=0)
     hi = data.values.max(axis=0)
@@ -138,7 +135,6 @@ def instance_from_dataset(
         critical=tuple(critical) if critical is not None else data.critical_columns(),
         budget=budget,
         eta=eta,
-        attackable=attackable,
         direction=direction,
         box_lo=np.minimum(lo - 10.0 * span, y),
         box_hi=np.maximum(hi + 10.0 * span, y),

@@ -5,8 +5,10 @@ previous stages from the output directory, and writes its own artifacts as
 JSON/CSV.  Commands are deterministic given the config seed and re-entrant:
 any stage can be rerun from persisted artifacts.
 
-Exit codes: 0 success, 2 config error, 3 missing or unreadable upstream
-artifact, 4 solver limit, 5 numerical failure.
+Exit codes: 0 success, 2 config error (also a user-supplied plant CSV that
+does not load, or an output path that cannot be created or written), 3
+missing or unreadable upstream artifact, 4 solver limit, 5 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ def _read_artifact(path: Path, producer: str, parse=lambda obj: obj):
     _require(path, producer)
     try:
         return parse(json.loads(path.read_text()))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise DependencyError(f"unreadable artifact {path} ({type(exc).__name__}: {exc}); rerun '{producer}'")
 
 
@@ -189,16 +191,24 @@ def _plant_config(cfg: dict) -> plant_mod.PlantConfig:
 
 
 def _load_dataset(cfg: dict, out: Path) -> plant_mod.Dataset:
+    """The plant data: the config's ``plant.csv``, which is user input, or
+    the CSV and role map that ``simulate`` wrote, which are artifacts: one
+    that does not load raises a ``DependencyError`` naming both files."""
     spec = cfg["plant"]
     if "csv" in spec:
         if not all(isinstance(spec.get(key, ""), str) for key in ("csv", "roles")):
             raise ConfigError("plant.csv and plant.roles must be strings")
         csv_path = Path(spec["csv"])
         roles_path = Path(spec.get("roles", csv_path.with_suffix(".roles.json")))
-    else:
-        csv_path = out / "data" / "clean.csv"
-        roles_path = out / "data" / "roles.json"
-    return plant_mod.load_csv(_require(csv_path, "simulate"), _require(roles_path, "simulate"))
+        return plant_mod.load_csv(_require(csv_path, "simulate"), _require(roles_path, "simulate"))
+    csv_path = _require(out / "data" / "clean.csv", "simulate")
+    roles_path = _require(out / "data" / "roles.json", "simulate")
+    try:
+        return plant_mod.load_csv(csv_path, roles_path)
+    except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+        raise DependencyError(
+            f"unreadable artifacts {csv_path} and {roles_path} ({type(exc).__name__}: {exc}); rerun 'simulate'"
+        )
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -505,7 +515,8 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, plant_mod.CsvParseError) as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: such as an output directory that cannot be created.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

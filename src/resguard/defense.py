@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .attack import Alg1Config, AttackInstance, run_attack
-from .detector import FPCurve, PredictorBank, ThresholdConfig, alarms, fp_inverse
+from .detector import FPCurve, PredictorBank, ThresholdConfig, fp_inverse
 from .plant import Dataset
 
 _TIE_TOL = 1e-12
@@ -97,12 +97,9 @@ def impact(
     return ImpactReport({s: float(np.mean(d)) for s, d in deviations.items()})
 
 
-def total_false_alarms(bank: PredictorBank, tau: ThresholdConfig, clean: Dataset) -> int:
-    """FA(tau): alarms summed over all detectors and rows of a clean window."""
-    return sum(len(rows) for rows in alarms(bank, clean, tau).values())
-
-
-def _fa_from_curves(curves: Mapping[int, FPCurve], tau: ThresholdConfig) -> int:
+def total_false_alarms(curves: Mapping[int, FPCurve], tau: ThresholdConfig) -> int:
+    """FA(tau): alarms summed over all detectors and rows of the clean
+    window the curves were taken on (``fp_curve(bank, window)``)."""
     return sum(curves[s].count_above(tau.tau[s]) for s in curves)
 
 
@@ -158,7 +155,7 @@ def resilient_thresholds(
             if s in tau_from.tau:
                 updates[s] = max(0.0, tau_from.tau[s] - step)
         lowered = tau_from.with_values(updates)
-        delta_fp = _fa_from_curves(curves, lowered) - _fa_from_curves(curves, tau_from)
+        delta_fp = total_false_alarms(curves, lowered) - total_false_alarms(curves, tau_from)
         # Pay the added alarms back by raising thresholds of the least-hit
         # detectors, those on sensors no attack targets (no impact score)
         # first.  Assignment is greedy in that order because a detector can
@@ -181,7 +178,7 @@ def resilient_thresholds(
             deficit -= pay
         return tau_from.with_values(updates)
 
-    fa_base = best_fa = _fa_from_curves(curves, tau_baseline)
+    fa_base = best_fa = total_false_alarms(curves, tau_baseline)
     eps = cfg.epsilon
     tau_cand = tau_acc = best_tau = tau_baseline
     worst_prev = best_worst = np.inf
@@ -194,7 +191,7 @@ def resilient_thresholds(
             scored[key] = impact(bank, tau_cand, horizon, inst_template, alg1)
         rep = scored[key]
         worst = rep.worst[1]
-        fa_cand = _fa_from_curves(curves, tau_cand)
+        fa_cand = total_false_alarms(curves, tau_cand)
         fa_ok = fa_cand <= fa_base + cfg.gamma
         accepted = fa_ok and worst <= worst_prev + _TIE_TOL
         if accepted:

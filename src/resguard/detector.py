@@ -100,7 +100,6 @@ class ThresholdConfig:
 class FPCurve:
     """Sorted clean-data residual sample for one detector."""
 
-    sensor: int
     residuals: np.ndarray
 
     def __post_init__(self):
@@ -146,23 +145,12 @@ def residuals(bank: PredictorBank, rows) -> dict[int, float] | dict[int, np.ndar
     return out
 
 
-def alarms(bank: PredictorBank, data: Dataset, tau: ThresholdConfig) -> dict[int, list[int]]:
-    """Row indices flagged per detector (residual strictly above tau)."""
-    res = residuals(bank, data.values)
-    out = {}
-    for s in bank.detector_set:
-        if s not in tau.tau:
-            raise ValueError(f"no threshold configured for detector {s}")
-        out[s] = np.nonzero(res[s] > tau.tau[s])[0].tolist()
-    return out
-
-
 def fp_curve(bank: PredictorBank, clean: Dataset) -> dict[int, FPCurve]:
     """Empirical false-positive curves from an attack-free reference window."""
     if clean.n_rows < 2:
         raise ValueError("reference window needs at least 2 rows")
     res = residuals(bank, clean.values)
-    return {s: FPCurve(s, np.sort(res[s])) for s in bank.detector_set}
+    return {s: FPCurve(np.sort(res[s])) for s in bank.detector_set}
 
 
 def fp_inverse(curve: FPCurve, max_alarms: float) -> float:

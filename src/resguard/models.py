@@ -2,10 +2,10 @@
 
 All three families share one evaluation surface: ``predict_batch``
 evaluates a model and ``taylor_linearize`` linearizes it at an operating
-point (``predict`` and ``jacobian`` are views of them).  Training
-normalizes features and targets with z-scores computed on the training
-split; stored models carry the scaler so predictions and gradients are in
-engineering units, while MSE reporting uses normalized values.
+point.  Training normalizes features and targets with z-scores computed on
+the training split; stored models carry the scaler so predictions and
+gradients are in engineering units, while MSE reporting uses normalized
+values.
 """
 
 from __future__ import annotations
@@ -348,11 +348,6 @@ def _check_dim(model: Model, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def predict(model: Model, x) -> float:
-    """Evaluate the predictor at a single input (engineering units)."""
-    return float(predict_batch(model, _check_dim(model, x)[None, :])[0])
-
-
 def predict_batch(model: Model, X) -> np.ndarray:
     """Evaluate the predictor at every row of a feature matrix."""
     X = _as_matrix(X)
@@ -370,7 +365,7 @@ def predict_batch(model: Model, X) -> np.ndarray:
 
 
 def taylor_linearize(model: Model, x0) -> tuple[np.ndarray, float]:
-    """First-order expansion at ``x0``: returns (w, b) with w.x0 + b == predict(x0).
+    """First-order expansion at ``x0``: returns (w, b) with w.x0 + b the prediction at x0.
 
     ``w`` is the exact gradient; a ``LinearModel`` returns its own ``w`` and
     ``b``.  A neural net takes its prediction and the hidden activations its
@@ -391,11 +386,6 @@ def taylor_linearize(model: Model, x0) -> tuple[np.ndarray, float]:
         w_nn, b_nn = taylor_linearize(model.nn, x0)
         return 0.5 * (w_nn + model.lr.w), 0.5 * (b_nn + model.lr.b)
     raise TypeError(f"unsupported model type {type(model)!r}")
-
-
-def jacobian(model: Model, x) -> np.ndarray:
-    """Exact gradient of the prediction with respect to the input."""
-    return taylor_linearize(model, x)[0]
 
 
 def normalized_mse(model: Model, features, targets) -> float:

@@ -37,7 +37,11 @@ class Nonlinearity(str, Enum):
 
 
 class CsvParseError(ValueError):
-    """CSV or role-map content that cannot be parsed; carries (row, column)."""
+    """CSV or role-map content that cannot be parsed; carries (row, column).
+
+    ``row`` counts data rows from 0, the header not included, and is
+    ``None`` when the error is not in a data row.
+    """
 
     def __init__(self, message: str, row: int | None = None, column: str | int | None = None):
         super().__init__(message)
@@ -112,9 +116,6 @@ class Dataset:
 
     def non_critical_columns(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.columns) if c.role == Role.NON_CRITICAL)
-
-    def row(self, t: int) -> np.ndarray:
-        return self.values[t].copy()
 
 
 @dataclass(frozen=True)
@@ -347,7 +348,7 @@ def load_csv(csv_path, role_map_path) -> Dataset:
         try:
             header = next(reader)
         except StopIteration:
-            raise CsvParseError("empty CSV file", row=0)
+            raise CsvParseError("empty CSV file")
         header = [h.strip() for h in header]
         columns = []
         for name in header:
@@ -356,7 +357,7 @@ def load_csv(csv_path, role_map_path) -> Dataset:
             columns.append(Column(name, roles[name]))
         lines = fh.readlines()
     if not lines:
-        raise CsvParseError("CSV file has a header but no data rows", row=1)
+        raise CsvParseError("CSV file has a header but no data rows", row=0)
     try:
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from dataclasses import replace
+
 from resguard.attack import AttackInstance, Direction
 from resguard.detector import DetectorEntry, PredictorBank, ThresholdConfig
 from resguard.lp_milp import GE, LE, MILPSolution, Status
@@ -50,6 +52,14 @@ def random_linear_setup(rng, d=None, budget=None, n_critical=None, all_finite_et
         direction=Direction.MINIMIZE,
     )
     return bank, ThresholdConfig(tau), inst
+
+
+def freeze(inst, sensors):
+    """``inst`` with ``eta`` 0 on ``sensors``, which takes them out of its
+    attackable set."""
+    eta = inst.eta.copy()
+    eta[list(sensors)] = 0.0
+    return replace(inst, eta=eta)
 
 
 def random_neural_model(rng, k=None, n_hidden=None, with_scaler=True):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _helpers import assert_result_invariants, constant_bank, highs_milp, random_linear_setup, stealth_breaking_solve
+from _helpers import assert_result_invariants, constant_bank, freeze, highs_milp, random_linear_setup, stealth_breaking_solve
 from _oracle import oracle_attack_enumerate, oracle_attack_grid
 from resguard import attack, lp_milp
 from resguard.attack import (
@@ -166,7 +166,6 @@ def test_attack_linear_budget_monotone():
                 critical=inst.critical,
                 budget=b,
                 eta=inst.eta,
-                attackable=inst.attackable,
                 direction=inst.direction,
                 box_lo=inst.box_lo,
                 box_hi=inst.box_hi,
@@ -270,16 +269,22 @@ def test_attack_nn_constant_predictors_reach_bound():
     assert result.iterations <= 8
 
 
+def _as_neural(bank):
+    """The affine bank with each model wrapped as a one-layer ``NeuralModel``,
+    which the iterative attack takes."""
+    wrapped = {}
+    for s, entry in bank.detectors.items():
+        model: LinearModel = entry.model
+        layers = ((model.w[None, :].copy(), np.array([model.b])),)
+        wrapped[s] = DetectorEntry(NeuralModel(layers), s, entry.feature_indices)
+    return PredictorBank(wrapped, bank.detector_set)
+
+
 def test_attack_nn_equals_linear_on_wrapped_models():
     rng = np.random.default_rng(77)
     for _ in range(8):
         bank, tau, inst = random_linear_setup(rng, d=5, budget=2)
-        wrapped = {}
-        for s, entry in bank.detectors.items():
-            model: LinearModel = entry.model
-            layers = ((model.w[None, :].copy(), np.array([model.b])),)
-            wrapped[s] = DetectorEntry(NeuralModel(layers), s, entry.feature_indices)
-        nn_bank = PredictorBank(wrapped, bank.detector_set)
+        nn_bank = _as_neural(bank)
         span = float(np.max(inst.box_hi - inst.box_lo))
         cfg = Alg1Config(epsilon0=2.0 * span, epsilon_min=2.0 * span / 2**10, n_max=50)
         lin = run_attack(bank, tau, inst)
@@ -323,9 +328,10 @@ def test_attack_nn_close_to_grid_oracle():
 
 def test_instance_from_dataset_boxes():
     data = simulate(desk_config(seed=1), 120)
-    inst = instance_from_dataset(data, 5, budget=2, eta=1.5)
+    inst = instance_from_dataset(data, data.values[5], budget=2, eta=1.5)
     assert inst.critical == data.critical_columns()
     assert set(inst.attackable) == set(data.sensor_columns())
+    assert instance_from_dataset(data, data.values[5], budget=2).attackable == set(data.sensor_columns())
     lo = data.values.min(axis=0)
     hi = data.values.max(axis=0)
     span = np.maximum(hi - lo, 1.0)
@@ -334,21 +340,60 @@ def test_instance_from_dataset_boxes():
 
 
 def test_empty_attackable_set_means_no_sensor():
-    """``attackable=None`` means every sensor; an empty set means none, so
-    only a zero budget fits it."""
-    y = np.array([1.0, 2.0, 3.0])
-    assert AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(0,), budget=2).attackable == {0, 1, 2}
-    with pytest.raises(ValueError, match="budget 2 outside"):
-        AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(0,), budget=2, attackable=frozenset())
-    inst = AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(0,), budget=0, attackable=frozenset())
-    assert inst.attackable == frozenset()
-    assert all(np.array_equal(bound, np.zeros(3)) for bound in inst.delta_bounds())
+    """``attackable`` is derived, never given: the sensors whose delta
+    bounds allow a nonzero value.  ``eta`` 0, or a box pinned at the
+    reading, leaves a sensor out; with ``eta`` 0 everywhere the set is
+    empty, every bound is +0.0, and the budget may still be any number up
+    to the number of sensors."""
+    y = np.array([1.0, 2.0, 3.0, 0.5])  # column 3 is a control
+    inst = AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(0,), budget=2)
+    assert inst.attackable == {0, 1, 2}
+    assert replace(inst, eta=np.array([1.0, 0.0, 2.0, 1.0])).attackable == {0, 2}
+    pinned = replace(inst, box_lo=y.copy(), box_hi=y + np.array([1.0, 0.0, 0.0, 1.0]))
+    assert pinned.attackable == {0}  # s0 may still move up
+    none = replace(inst, eta=0.0, budget=3)
+    assert none.attackable == frozenset()
+    for bound in none.delta_bounds():
+        assert np.array_equal(bound, np.zeros(4)) and not np.signbit(bound).any()
 
-    data = simulate(desk_config(seed=1), 120)
-    with pytest.raises(ValueError, match="budget 1 outside"):
-        instance_from_dataset(data, 5, budget=1, attackable=[])
-    assert instance_from_dataset(data, 5, budget=0, attackable=[]).attackable == frozenset()
-    assert instance_from_dataset(data, 5, budget=1).attackable == set(data.sensor_columns())
+    with pytest.raises(ValueError, match="budget 4 outside"):
+        replace(inst, budget=4)
+    with pytest.raises(TypeError):
+        AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(0,), budget=0, attackable=frozenset())
+    with pytest.raises(ValueError, match="attackable"):
+        replace(inst, attackable=frozenset())
+
+
+def test_a_sensor_with_eta_0_is_never_perturbed():
+    """A sensor with ``eta`` 0 gets no activation rows or binary in the
+    attack MILP, and neither the exact nor the iterative attack moves it,
+    also when it is the target itself."""
+    rng = np.random.default_rng(411)
+    for trial in range(8):
+        bank, tau, inst = random_linear_setup(rng, d=5, budget=2, n_critical=2)
+        frozen = sorted({inst.critical[0], int(rng.integers(5))})
+        inst = freeze(inst, frozen)
+        assert inst.attackable == set(range(5)) - set(frozen)
+        problem = build_attack_milp(bank, tau, inst, inst.critical[0])
+        assert not problem.lp.A[:, [5 + s for s in frozen]].any()
+        assert not problem.binary_vars & {5 + s for s in frozen}
+        span = float(np.max(inst.box_hi - inst.box_lo))
+        cfg = Alg1Config(epsilon0=span, epsilon_min=span / 2**10, n_max=30)
+        for result in (run_attack(bank, tau, inst), run_attack(_as_neural(bank), tau, inst, cfg)):
+            for own in result.per_target:
+                assert not own.delta[frozen].any()
+                assert_result_invariants(own, inst)
+
+    bank = _tanh_bank(rng, 3)
+    y = rng.normal(0.0, 0.3, 3)
+    tau = ThresholdConfig({s: r + 0.5 for s, r in residuals(bank, y).items()})
+    inst = AttackInstance(y=y, sensor_columns=(0, 1, 2), critical=(0, 1), budget=2, eta=np.array([2.0, 0.0, 2.0]))
+    result = run_attack(bank, tau, inst, Alg1Config(epsilon0=0.5, epsilon_min=0.5 / 2**10, n_max=30))
+    assert result.feasible
+    assert any(own.n_attacked for own in result.per_target)
+    for own in result.per_target:
+        assert own.delta[1] == 0.0
+        assert_result_invariants(own, inst)
 
 
 def test_at_row_equals_the_inline_reposing():
@@ -600,11 +645,8 @@ def test_attack_milp_starts_at_the_no_op_vertex():
         bank, tau, inst = random_linear_setup(rng, all_finite_eta=trial % 2 == 0)
         d = inst.y.size
         if trial % 3 == 0:
-            # Some sensors not attackable, and one attackable with eta = 0.
-            attackable = frozenset(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist())
-            eta = inst.eta.copy()
-            eta[min(attackable)] = 0.0
-            inst = replace(inst, attackable=attackable, budget=min(inst.budget, len(attackable)), eta=eta)
+            # Some sensors held clean by eta = 0.
+            inst = freeze(inst, rng.choice(d, size=int(rng.integers(0, d)), replace=False))
         for target in inst.critical:
             _assert_no_op_start(build_attack_milp(bank, tau, inst, target))
 
@@ -715,7 +757,7 @@ def test_singular_start_basis_falls_back_to_a_cold_root():
         bank, tau, inst = random_linear_setup(rng)
         d = inst.y.size
         frozen = int(rng.integers(d))
-        inst = replace(inst, attackable=frozenset(range(d)) - {frozen}, budget=min(inst.budget, d - 1))
+        inst = freeze(inst, [frozen])
         problem = build_attack_milp(bank, tau, inst, inst.critical[0])
         assert not problem.lp.A[:, d + frozen].any()
         basic = problem.start.basic.copy()
@@ -953,7 +995,7 @@ def test_paid_target_activation_is_exact():
         elif kind == "budget 0":
             inst = replace(inst, budget=0)
         elif kind == "frozen target":
-            inst = replace(inst, attackable=frozenset(range(d)) - {inst.critical[0]}, budget=min(inst.budget, d - 1))
+            inst = freeze(inst, [inst.critical[0]])
         cases += [(kind, bank, tau, inst, target, None, None) for target in inst.critical]
     eps = 0.3
     for trial in range(30):
@@ -1045,7 +1087,7 @@ def test_paid_target_activation_fires_exactly_when_its_guard_holds():
             s = bank.detector_set[0]
             tau = ThresholdConfig({**tau.tau, s: 0.5 * residuals(bank, inst.y)[s]})
         if trial % 7 == 3:
-            inst = replace(inst, attackable=frozenset(range(d)) - {target}, budget=min(inst.budget, d - 1))
+            inst = freeze(inst, [target])
             if center is not None:
                 center[target] = inst.y[target]  # a frozen sensor's centre is its reading
         problem = build_attack_milp(bank, tau, inst, target, trust_radius=eps, center=center)
@@ -1118,8 +1160,7 @@ def test_attack_milp_matrix_equals_row_by_row_build():
     for trial in range(10):
         bank, tau, inst = random_linear_setup(rng)
         if trial % 2:
-            attackable = frozenset(rng.choice(inst.y.size, size=int(rng.integers(1, inst.y.size + 1)), replace=False).tolist())
-            inst = replace(inst, attackable=attackable, budget=min(inst.budget, len(attackable)))
+            inst = freeze(inst, rng.choice(inst.y.size, size=int(rng.integers(0, inst.y.size)), replace=False))
         cases.append((bank, tau, inst, None, None))
     train, test = split_sequential(simulate(desk_config(seed=7), 600), 0.8)  # features include controls
     bank = train_bank(train, family="linear")

@@ -548,11 +548,14 @@ def _drop(key):
         pytest.param("thresholds/baseline.json", '{"tau": {', "report", "report", id="report-of-truncated-thresholds"),
         pytest.param("models/bank.json", {"family": "linear"}, "calibrate", "thresholds", id="bank-without-detectors"),
         pytest.param("models/model_s0.json", _drop("w"), "calibrate", "thresholds", id="model-without-w"),
+        pytest.param("data/roles.json", '{"columns": [{', "train", "models", id="truncated-roles"),
+        pytest.param("data/clean.csv", "s0,s1,s2,s3,s4,s5,s6,s7,u0,u1\n", "train", "models", id="header-only-clean-csv"),
     ],
 )
 def test_an_unreadable_artifact_is_a_dependency_error(pipeline_dir, tmp_path, capsys, rel, corrupt, command, written):
     """An upstream artifact that does not load as its stage wrote it exits
-    3 and names the file, and the stage writes nothing."""
+    3 and names the file, and the stage writes nothing.  ``simulate``'s CSV
+    and role map are read as a pair, so their message names both."""
     out, cfg_path = pipeline_dir
     run = tmp_path / "run"
     shutil.copytree(out, run)
@@ -563,8 +566,41 @@ def test_an_unreadable_artifact_is_a_dependency_error(pipeline_dir, tmp_path, ca
     else:
         path.write_text(json.dumps(corrupt if isinstance(corrupt, dict) else corrupt(json.loads(path.read_text()))))
     assert main([command, "--config", str(cfg_path), "--out", str(run)]) == EXIT_DEPENDENCY
-    assert f"unreadable artifact {path}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unreadable artifact" in err and f"{path} " in err
     assert not (run / written).exists()
+
+
+@pytest.mark.parametrize("rel", ["thresholds/baseline.json", "data/roles.json"])
+def test_an_artifact_that_cannot_be_opened_is_a_dependency_error(pipeline_dir, tmp_path, capsys, rel):
+    """A directory where an upstream artifact should be exits 3 and names
+    it, as a corrupt file does."""
+    out, cfg_path = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / rel).unlink()
+    (run / rel).mkdir()
+    assert main(["attack", "--config", str(cfg_path), "--out", str(run)]) == EXIT_DEPENDENCY
+    assert f"{run / rel} " in capsys.readouterr().err
+
+
+def test_an_output_path_that_cannot_be_made_is_a_config_error(pipeline_dir, tmp_path, capsys):
+    """A stage whose output directory cannot be created, under a regular
+    file or where a regular file stands, exits 2 and names the path."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["simulate", "--out", str(blocker / "run")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(blocker / "run" / "data") in err
+
+    out, cfg_path = pipeline_dir
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    shutil.rmtree(run / "attack")
+    (run / "attack").write_text("")
+    assert main(["attack", "--config", str(cfg_path), "--out", str(run)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(run / "attack") in err
 
 
 # A small desk pipeline at seed 7 for the tests that run every stage.
@@ -623,6 +659,25 @@ def test_external_plant_csv_reproduces_the_simulated_pipeline(tmp_path, capsys):
     assert main(["train", "--config", str(cfg_path)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "ragged" / "models").exists()
+
+
+def test_eta_0_pipeline_attacks_nothing(tmp_path):
+    """With ``attack.eta`` 0 no sensor can move: every stage exits 0, the
+    attack report lists no attackable sensor, and every budget's objective
+    is its target's clean value."""
+    config = SMALL_CONFIG | {"attack": {"eta": 0.0, "budgets": [0, 1, 2], "rows": 2}}
+    out = tmp_path / "run"
+    _run_stages(config, out, STAGES)
+    with open(out / "attack" / "per_sensor.csv", newline="") as fh:
+        clean = {rec["sensor"]: rec["clean_value"] for rec in csv.DictReader(fh)}
+    with open(out / "attack" / "budget_sweep.csv", newline="") as fh:
+        sweep = list(csv.DictReader(fh))
+    assert [int(rec["budget"]) for rec in sweep] == [0, 1, 2]
+    for rec in sweep:
+        assert rec["objective"] == clean[rec["target"]] and rec["feasible"] == "True"
+    report = json.loads((out / "attack" / "attack_report.json").read_text())
+    for entry in report["per_target"]:
+        assert entry["instance"]["attackable"] == [] and entry["attacked"] == []
 
 
 def test_paper_preset_pipeline_matches_highs(tmp_path):

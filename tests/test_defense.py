@@ -22,9 +22,9 @@ from resguard.defense import (
 )
 from resguard.detector import (
     ThresholdConfig,
-    alarms,
     calibrate_baseline,
     fp_curve,
+    residuals,
     train_bank,
 )
 from resguard.lp_milp import solve_milp
@@ -72,7 +72,6 @@ def test_impact_matches_per_row_oracle():
                 critical=(s,),
                 budget=inst.budget,
                 eta=inst.eta,
-                attackable=inst.attackable,
                 direction=inst.direction,
                 box_lo=np.minimum(inst.box_lo, rows[t]),
                 box_hi=np.maximum(inst.box_hi, rows[t]),
@@ -88,15 +87,24 @@ def test_impact_report_worst_is_argmax():
 
 
 def test_total_false_alarms():
+    """The alarms counted over FP curves equal a direct strict count of
+    residuals above tau: on a hand case, and on desk seed 7's train and test
+    windows at the calibrated thresholds (each a train residual) and at
+    scaled ones."""
     bank, _ = constant_bank(2, (0,), values=(0.0,), taus=(0.5,))
-    data = _rows_dataset([[0.1, 0.0], [0.9, 0.0]])
-    assert total_false_alarms(bank, ThresholdConfig({0: 0.5}), data) == 1
-    assert total_false_alarms(bank, ThresholdConfig({0: 1e9}), data) == 0
-    # Cross-module identity with the alarm lists.
-    tau = ThresholdConfig({0: 0.05})
-    assert total_false_alarms(bank, tau, data) == sum(
-        len(v) for v in alarms(bank, data, tau).values()
-    )
+    curves = fp_curve(bank, _rows_dataset([[0.1, 0.0], [0.9, 0.0]]))
+    assert total_false_alarms(curves, ThresholdConfig({0: 0.5})) == 1
+    assert total_false_alarms(curves, ThresholdConfig({0: 1e9})) == 0
+
+    train, test = split_sequential(simulate(desk_config(seed=7), 1200), 0.8)
+    bank = train_bank(train, detector_sensors=train.sensor_columns())
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
+    for window in (train, test):
+        res = residuals(bank, window.values)
+        for scale in (0.0, 0.5, 1.0, 2.0):
+            scaled = ThresholdConfig({s: scale * t for s, t in tau.tau.items()})
+            direct = sum(int(np.count_nonzero(res[s] > scaled.tau[s])) for s in bank.detector_set)
+            assert total_false_alarms(fp_curve(bank, window), scaled) == direct
 
 
 def _crafted_two_sensor_setup():
@@ -174,14 +182,14 @@ def test_resilient_guarantees_on_simulated_plant():
     bank = train_bank(data, family="linear")
     curves = fp_curve(bank, data)
     tau = calibrate_baseline(curves, target_period_steps=60.0, n_detectors=3)
-    inst = instance_from_dataset(data, data.n_rows - 1, budget=2)
+    inst = instance_from_dataset(data, data.values[-1], budget=2)
     cfg = DefenseConfig(gamma=0.0, epsilon=0.15, n_max=4, horizon=3)
     outcome = resilient_thresholds(
         bank, tau, curves, data.values[-3:], inst, cfg
     )
     assert outcome.final_fa <= outcome.baseline_fa + cfg.gamma
     assert outcome.final_worst <= outcome.baseline_worst + 1e-9
-    assert total_false_alarms(bank, outcome.thresholds, data) <= outcome.baseline_fa
+    assert total_false_alarms(curves, outcome.thresholds) <= outcome.baseline_fa
 
 
 def test_detectors_on_untargeted_sensors_pay_back_false_alarms():

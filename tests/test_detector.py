@@ -7,7 +7,6 @@ from resguard.detector import (
     FPCurve,
     PredictorBank,
     ThresholdConfig,
-    alarms,
     calibrate_baseline,
     feature_indices_for,
     fp_curve,
@@ -17,7 +16,8 @@ from resguard.detector import (
     thresholds_to_json,
     train_bank,
 )
-from resguard.models import LinearModel, TrainConfig, predict
+from resguard.defense import total_false_alarms
+from resguard.models import LinearModel, TrainConfig, predict_batch
 from resguard.plant import Column, Dataset, Role, desk_config, simulate
 
 
@@ -38,7 +38,7 @@ def test_residuals_match_direct_recompute():
     row = rng.normal(size=d)
     res = residuals(bank, row)
     for s, entry in bank.detectors.items():
-        expected = abs(predict(entry.model, row[entry.feature_indices]) - row[s])
+        expected = abs(predict_batch(entry.model, row[None, entry.feature_indices])[0] - row[s])
         assert res[s] == expected
 
 
@@ -89,13 +89,15 @@ def _dataset_from_rows(rows):
 
 
 def test_alarms_strictness():
+    """A residual alarms only when strictly above its threshold: one equal
+    to tau raises none, and at tau 0 only the nonzero residuals alarm."""
     # Constant predictor 0.0 over feature column; residuals equal |s0|.
     bank, _ = constant_bank(2, (0,), values=(0.0,), taus=(0.5,))
-    data = _dataset_from_rows([[0.1, 0.0], [0.5, 0.0], [0.9, 0.0]])
-    out = alarms(bank, data, ThresholdConfig({0: 0.5}))
-    assert out[0] == [2]  # 0.5 is not strictly above 0.5
-    assert alarms(bank, data, ThresholdConfig({0: 1e12}))[0] == []
-    assert alarms(bank, data, ThresholdConfig({0: 0.0}))[0] == [0, 1, 2]
+    data = _dataset_from_rows([[0.1, 0.0], [0.5, 0.0], [0.9, 0.0], [0.0, 0.0]])
+    curves = fp_curve(bank, data)
+    for tau, expected in ((0.5, 1), (1e12, 0), (0.0, 3)):
+        assert curves[0].count_above(tau) == expected, tau
+        assert total_false_alarms(curves, ThresholdConfig({0: tau})) == expected, tau
 
 
 def test_fp_curve_counts_and_monotone():
@@ -111,7 +113,7 @@ def test_fp_curve_counts_and_monotone():
 
 
 def test_fp_inverse_examples_and_round_trip():
-    curve = FPCurve(0, np.array([0.1, 0.2, 0.3, 0.4]))
+    curve = FPCurve(np.array([0.1, 0.2, 0.3, 0.4]))
     assert fp_inverse(curve, 1) == pytest.approx(0.3)
     assert fp_inverse(curve, 0) == pytest.approx(0.4)
     assert fp_inverse(curve, 4) == 0.0
@@ -130,12 +132,12 @@ def test_fp_inverse_examples_and_round_trip():
 
 def test_calibrate_baseline_examples():
     r = np.linspace(0.01, 1.0, 100)
-    curve = FPCurve(0, r)
+    curve = FPCurve(r)
     tau = calibrate_baseline({0: curve}, target_period_steps=100.0, n_detectors=1)
     # Budget 1 alarm on 100 rows: threshold is the second-largest residual.
     assert tau.tau[0] == pytest.approx(float(np.sort(r)[-2]))
 
-    two = {0: curve, 1: FPCurve(1, r)}
+    two = {0: curve, 1: FPCurve(r)}
     tau2 = calibrate_baseline(two, target_period_steps=100.0, n_detectors=2)
     # Budget 0.5 floors to zero alarms: threshold is the max residual.
     assert tau2.tau[0] == pytest.approx(float(r.max()))
@@ -151,8 +153,8 @@ def test_calibrated_alarm_budget_on_window():
     curves = fp_curve(bank, data)
     tau = calibrate_baseline(curves, target_period_steps=50.0, n_detectors=2)
     per_detector_budget = (1500 / 50.0) / 2
-    for s, rows in alarms(bank, data, tau).items():
-        assert len(rows) <= int(np.ceil(per_detector_budget))
+    for s, curve in curves.items():
+        assert curve.count_above(tau.tau[s]) <= int(np.ceil(per_detector_budget))
 
 
 def test_train_bank_feature_layouts():

@@ -15,11 +15,9 @@ from resguard.models import (
     TrainingDivergedError,
     fit_linear,
     fit_nn,
-    jacobian,
     model_from_json,
     model_to_json,
     normalized_mse,
-    predict,
     predict_batch,
     taylor_linearize,
 )
@@ -294,9 +292,9 @@ def test_fit_nn_matches_the_reference_loop_bit_for_bit(train):
 
 def test_predict_linear_and_dimension_check():
     m = LinearModel(np.array([2.0]), 1.0)
-    assert predict(m, np.array([3.0])) == 7.0
+    assert predict_batch(m, np.array([[3.0]]))[0] == 7.0
     with pytest.raises(ValueError):
-        predict(m, np.array([1.0, 2.0]))
+        predict_batch(m, np.array([[1.0, 2.0]]))
 
 
 def test_predict_ensemble_is_exact_average():
@@ -305,22 +303,22 @@ def test_predict_ensemble_is_exact_average():
     lr = LinearModel(np.zeros(2), 2.0)
     ens = EnsembleModel(nn, lr)
     x = np.array([0.3, -1.2])
-    assert predict(ens, x) == 3.0
-    assert predict(ens, x) == 0.5 * (predict(nn, x) + predict(lr, x))
+    assert predict_batch(ens, x[None, :])[0] == 3.0
+    assert predict_batch(ens, x[None, :])[0] == 0.5 * (predict_batch(nn, x[None, :])[0] + predict_batch(lr, x[None, :])[0])
 
 
 def test_predict_one_hidden_unit_hand_computed():
     nn = NeuralModel(((np.array([[1.0]]), np.array([1.0])), (np.array([[1.0]]), np.array([0.25]))))
     expected = math.tanh(1.0) * 1.0 + 0.25
-    assert abs(predict(nn, np.array([0.0])) - expected) < 1e-12
+    assert abs(predict_batch(nn, np.array([[0.0]]))[0] - expected) < 1e-12
 
 
 def test_jacobian_linear_and_ensemble():
     lr = LinearModel(np.array([2.0, -1.0]), 0.0)
-    assert np.array_equal(jacobian(lr, np.array([5.0, 5.0])), np.array([2.0, -1.0]))
+    assert np.array_equal(taylor_linearize(lr, np.array([5.0, 5.0]))[0], np.array([2.0, -1.0]))
     zero_nn = NeuralModel(((np.zeros((3, 2)), np.zeros(3)), (np.zeros((1, 3)), np.zeros(1))))
     ens = EnsembleModel(zero_nn, lr)
-    assert np.allclose(jacobian(ens, np.array([0.0, 0.0])), [1.0, -0.5])
+    assert np.allclose(taylor_linearize(ens, np.array([0.0, 0.0]))[0], [1.0, -0.5])
 
 
 def test_jacobian_matches_finite_differences():
@@ -328,8 +326,8 @@ def test_jacobian_matches_finite_differences():
     for _ in range(25):
         model = random_neural_model(rng)
         x = rng.normal(size=model.n_features)
-        g = jacobian(model, x)
-        fd = finite_difference_gradient(lambda v: predict(model, v), x)
+        g = taylor_linearize(model, x)[0]
+        fd = finite_difference_gradient(lambda v: predict_batch(model, v[None, :])[0], x)
         rel = np.abs(g - fd) / np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-6)
         assert rel.max() < 1e-4
 
@@ -355,11 +353,11 @@ def test_taylor_reproduces_predict_and_local_error():
     model = random_neural_model(rng, k=3)
     x0 = rng.normal(size=3)
     w, b = taylor_linearize(model, x0)
-    assert abs(w @ x0 + b - predict(model, x0)) < 1e-12
+    assert abs(w @ x0 + b - predict_batch(model, x0[None, :])[0]) < 1e-12
     for i in range(3):
         x1 = x0.copy()
         x1[i] += 0.01
-        err = abs(w @ x1 + b - predict(model, x1))
+        err = abs(w @ x1 + b - predict_batch(model, x1[None, :])[0])
         assert err < 1e-2  # second-order in the 0.01 step for bounded curvature
 
 
@@ -383,7 +381,7 @@ def test_taylor_at_x0_exact_all_families():
     for model in (lr, nn, EnsembleModel(random_neural_model(rng, k=3, with_scaler=False), lr)):
         x0 = rng.normal(size=3)
         w, b = taylor_linearize(model, x0)
-        assert abs(w @ x0 + b - predict(model, x0)) < 1e-12
+        assert abs(w @ x0 + b - predict_batch(model, x0[None, :])[0]) < 1e-12
 
 
 def test_serialization_round_trip():

@@ -149,8 +149,7 @@ def test_enumerate_lower_bounds_any_feasible_attack():
         sensor_columns=inst.sensor_columns,
         critical=(target,),
         budget=min(inst.budget, 2),
-        eta=np.minimum(inst.eta, 1.5),
-        attackable=frozenset(list(inst.attackable)[:3]),
+        eta=np.where(np.arange(5) < 3, np.minimum(inst.eta, 1.5), 0.0),  # sensors 0-2 attackable
         box_lo=inst.box_lo,
         box_hi=inst.box_hi,
     )
@@ -166,8 +165,7 @@ def test_grid_constant_predictors():
         sensor_columns=(0, 1, 2),
         critical=(0,),
         budget=1,
-        eta=2.0,
-        attackable=frozenset({0, 2}),
+        eta=np.array([2.0, 0.0, 2.0]),
     )
     assert oracle_attack_grid(bank, tau, inst, 0, step=0.5) == pytest.approx(2.0)
 
@@ -177,8 +175,7 @@ def test_grid_reports_empty_feasible_set():
     bank, _ = constant_bank(2, (0,), values=(5.0,), taus=(0.1,))
     tau = ThresholdConfig({0: 0.1})
     inst = AttackInstance(
-        y=np.zeros(2), sensor_columns=(0, 1), critical=(0,), budget=1, eta=0.5,
-        attackable=frozenset({1}),
+        y=np.zeros(2), sensor_columns=(0, 1), critical=(0,), budget=1, eta=np.array([0.0, 0.5]),
     )
     assert oracle_attack_grid(bank, tau, inst, 0, step=0.25) is None
 
@@ -192,8 +189,7 @@ def test_grid_refinement_never_worse():
         sensor_columns=base.sensor_columns,
         critical=(target,),
         budget=2,
-        eta=np.minimum(base.eta, 2.0),
-        attackable=frozenset(list(base.attackable)[:2]),
+        eta=np.where(np.arange(4) < 2, np.minimum(base.eta, 2.0), 0.0),  # sensors 0-1 attackable
         box_lo=base.box_lo,
         box_hi=base.box_hi,
     )

@@ -292,13 +292,16 @@ def test_load_csv_reads_cells_as_the_csv_module_and_float_do(tmp_path, body, exp
 
 
 def test_load_csv_header_only_is_no_dataset(tmp_path):
-    (tmp_path / "t.csv").write_text("a,b\n")
+    """Rows count data rows from 0, as in every other parse error: a
+    header-only file fails at row 0, and an empty file has no row."""
     (tmp_path / "t.json").write_text(
         '{"columns": [{"name": "a", "role": "critical"}, {"name": "b", "role": "non_critical"}]}'
     )
-    with pytest.raises(CsvParseError, match="no data rows") as exc:
-        load_csv(tmp_path / "t.csv", tmp_path / "t.json")
-    assert exc.value.row == 1
+    for body, fragment, row in (("a,b\n", "no data rows", 0), ("", "empty CSV file", None)):
+        (tmp_path / "t.csv").write_text(body)
+        with pytest.raises(CsvParseError, match=fragment) as exc:
+            load_csv(tmp_path / "t.csv", tmp_path / "t.json")
+        assert exc.value.row == row
 
 
 def test_load_csv_small(tmp_path):
