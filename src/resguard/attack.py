@@ -217,6 +217,51 @@ def stealth_margin(bank: PredictorBank, tau: ThresholdConfig, rows: np.ndarray) 
     return margin if np.ndim(rows) == 2 else float(margin)
 
 
+class _Skeleton:
+    """The parts of the attack MILP on one (bank, instance, target) that a
+    trust-region descent never changes: the variable and row layout, the
+    activation and budget rows' unit entries, the objective, both binary
+    sets and the start basis.  ``build_attack_milp`` refills the rest."""
+
+    def __init__(self, bank: PredictorBank, inst: AttackInstance, target: int):
+        sensors = list(inst.sensor_columns)
+        d = len(sensors)
+        n = 2 * d  # [delta | alpha]
+        pos = np.full(inst.y.size, n)  # column -> its delta variable; n, a spare column, if not a sensor
+        pos[sensors] = np.arange(d)
+        self.sensors, self.d = np.array(sensors), d
+        self.attackable = np.array(sorted(inst.attackable), dtype=int)
+        att = pos[self.attackable]
+        self.n_det = n_det = len(bank.detector_set)
+        # Per shape group: the delta variable of each member's features, and
+        # the clean features the residual's intercept needs.
+        self.cols = [pos[stack.columns] for stack, _ in bank.stacked]
+        self.y_feats = [inst.y[stack.columns][:, :, None] for stack, _ in bank.stacked]
+        self.y_own = inst.y[bank.sensors]
+        self.act = act = 2 * n_det + 2 * np.arange(att.size)
+        self.alpha = d + att
+        # The rows with the spare column last: each detector's first row
+        # holds 1 on its own sensor (a feature is never its own sensor).
+        self.A = np.zeros((2 * n_det + 2 * att.size + 1, n + 1))
+        self.A[2 * np.arange(n_det), pos[bank.sensors]] = 1.0
+        self.A[act, att] = 1.0
+        self.A[act + 1, att] = -1.0
+        self.A[-1, self.alpha] = 1.0  # the budget row
+        self.rhs = np.zeros(self.A.shape[0])
+        self.rhs[-1] = float(inst.budget)
+        self.objective = np.zeros(n)
+        self.objective[pos[target]] = inst.direction.sign
+        self.upper = np.zeros(n)
+        self.upper[self.alpha] = 1.0
+        self.binary = frozenset(self.alpha.tolist())
+        self.paid = d + int(pos[target]) if inst.budget >= 1 and target in inst.attackable else None
+        self.binary_paid = self.binary - {self.paid}
+        N = n + self.A.shape[0]
+        basic = np.arange(n, N)
+        basic[act] = att
+        self.basis = Basis(basic, np.zeros(N, dtype=bool))
+
+
 def build_attack_milp(
     bank: PredictorBank,
     tau: ThresholdConfig,
@@ -224,6 +269,7 @@ def build_attack_milp(
     target: int,
     trust_radius: float | None = None,
     center: np.ndarray | None = None,
+    _skeleton: _Skeleton | None = None,
 ) -> MILPProblem:
     """Mixed-binary encoding of the stealthy attack over the perturbation.
 
@@ -254,87 +300,66 @@ def build_attack_milp(
     reading passes every detector and the delta bounds hold 0 (they do
     unless a trust region is centred away from ``y``); otherwise the
     simplex's phase 1 repairs it.
+
+    The detector rows come from the bank's stacked form
+    (``PredictorBank.stacked``): one ``taylor_linearize`` call per shape
+    group.  ``_skeleton`` is this (bank, instance, target)'s ``_Skeleton``,
+    which a descent builds once; only the detector rows, the right-hand
+    sides, the delta bounds and the big-M are filled per call.
     """
     local = trust_radius is not None and math.isfinite(trust_radius)
     if not local and not bank.is_affine():
         raise TypeError("the detector bank is not affine")
     if target not in inst.critical:
         raise ValueError(f"target {target} is not a critical sensor")
-    for s in bank.detector_set:
-        if s not in tau.tau:
-            raise ValueError(f"no threshold for detector {s}")
-
-    sensors = list(inst.sensor_columns)
-    d = len(sensors)
-    y = inst.y
-    center = y if center is None else np.asarray(center, dtype=float)
-    pos = np.full(y.size, -1)  # column -> its delta variable, -1 if not a sensor
-    pos[sensors] = np.arange(d)
+    missing = [s for s in bank.detector_set if s not in tau.tau]
+    if missing:
+        raise ValueError(f"no threshold for detector {missing[0]}")
+    sk = _Skeleton(bank, inst, target) if _skeleton is None else _skeleton
+    t = np.array([tau.tau[s] for s in bank.detector_set])
+    center = inst.y if center is None else np.asarray(center, dtype=float)
+    d, n_det = sk.d, sk.n_det
 
     dlo, dhi = inst.delta_bounds()
     if local:
-        dlo = np.maximum(dlo, center - trust_radius - y)
-        dhi = np.minimum(dhi, center + trust_radius - y)
+        dlo = np.maximum(dlo, center - trust_radius - inst.y)
+        dhi = np.minimum(dhi, center + trust_radius - inst.y)
 
-    attackable = sorted(inst.attackable)
-    att = pos[attackable]
-    n_det, n_att = len(bank.detector_set), len(attackable)
-    n = 2 * d  # [delta | alpha]
-    A = np.zeros((2 * n_det + 2 * n_att + 1, n))
-    rhs = np.zeros(A.shape[0])
-
-    for k, s in enumerate(bank.detector_set):
-        entry = bank.detectors[s]
-        feats = entry.feature_indices
-        w, b = taylor_linearize(entry.model, center[feats])
-        # The residual at y + delta is r0 - row . delta.
-        r0 = float(w @ y[feats]) + b - y[s]
-        row = A[2 * k]
-        row[pos[s]] = 1.0
-        cols = pos[feats]
-        keep = cols >= 0
-        np.subtract.at(row, cols[keep], w[keep])
-        A[2 * k + 1] = -row
-        t = tau.tau[s]
-        rhs[2 * k] = t + r0
-        rhs[2 * k + 1] = t - r0
+    # Detector rows: the residual at y + delta is r0 - row . delta, where
+    # row is 1 on the detector's own sensor and -w on its features.
+    A = sk.A.copy()
+    first = A[0 : 2 * n_det : 2]
+    r0 = np.empty(n_det)
+    for (stack, at), cols, y_feats in zip(bank.stacked, sk.cols, sk.y_feats):
+        w, b = taylor_linearize(stack, center)
+        r0[at] = (w[:, None, :] @ y_feats)[:, 0, 0] + b - sk.y_own[at]
+        first[at[:, None], cols] = 0.0 - w
+    A[1 : 2 * n_det : 2] = -first
+    rhs = sk.rhs.copy()
+    rhs[0 : 2 * n_det : 2] = t + r0
+    rhs[1 : 2 * n_det : 2] = t - r0
 
     # Activation rows delta - M alpha <= 0 and -delta - M alpha <= 0 per
     # attackable sensor; M must dominate the perturbation box or alpha
     # would clip delta.
-    act = 2 * n_det + 2 * np.arange(n_att)
-    big_m = np.maximum(np.abs(dlo[attackable]), np.abs(dhi[attackable]))
-    A[act, att] = 1.0
-    A[act + 1, att] = -1.0
-    A[act, d + att] = A[act + 1, d + att] = -big_m
-    A[-1, d + att] = 1.0  # the budget row
-    rhs[-1] = float(inst.budget)
+    lo_att, hi_att = dlo[sk.attackable], dhi[sk.attackable]
+    A[sk.act, sk.alpha] = A[sk.act + 1, sk.alpha] = -np.maximum(np.abs(lo_att), np.abs(hi_att))
 
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    lower[:d] = dlo[sensors]
-    upper[:d] = dhi[sensors]
-    upper[d + att] = 1.0
+    lower = np.zeros(2 * d)
+    upper = sk.upper.copy()
+    lower[:d] = dlo[sk.sensors]
+    upper[:d] = dhi[sk.sensors]
     # Presolve: a sensor whose delta box excludes 0 is attacked.
-    forced = (dlo[attackable] > 0.0) | (dhi[attackable] < 0.0)
-    lower[d + att[forced]] = 1.0
+    forced = (lo_att > 0.0) | (hi_att < 0.0)
+    lower[sk.alpha[forced]] = 1.0
     # Presolve: while the no-op is feasible, the target's activation is paid
     # up front.
-    binary = d + att
-    no_op_feasible = not forced.any() and (rhs[: 2 * n_det] >= 0.0).all()
-    if inst.budget >= 1 and target in inst.attackable and no_op_feasible:
-        paid = d + pos[target]
-        A[-1, paid] = 0.0
+    binary = sk.binary
+    if sk.paid is not None and not forced.any() and (rhs[: 2 * n_det] >= 0.0).all():
+        A[-1, sk.paid] = 0.0
         rhs[-1] -= 1.0
-        binary = binary[binary != paid]
-
-    objective = np.zeros(n)
-    objective[pos[target]] = inst.direction.sign
-    lp = LinearProgram(objective, A, rhs, lower, upper)
-    N = n + A.shape[0]
-    basic = np.arange(n, N)
-    basic[act] = att
-    return MILPProblem(lp, frozenset(binary.tolist()), Basis(basic, np.zeros(N, dtype=bool)))
+        binary = sk.binary_paid
+    return MILPProblem(LinearProgram(sk.objective, A[:, :-1], rhs, lower, upper), binary, sk.basis)
 
 
 def _delta(inst: AttackInstance, x: np.ndarray) -> np.ndarray:
@@ -491,47 +516,48 @@ def _attack_iterative(
     point found the result is the ``clean_alarm`` no-op.
     """
     sign = inst.direction.sign
+    skeleton = _Skeleton(bank, inst, target)
+    tau_vec = np.array([tau.tau[s] for s in bank.detector_set])
 
     def descend(seed: np.ndarray, warm: Basis | None) -> tuple[np.ndarray, int, Basis | None]:
         current = seed.copy()
         cur_obj = float(current[target])
         eps = cfg.epsilon0
-        backoff = {s: 0.0 for s in bank.detector_set}
+        backoff = np.zeros(tau_vec.size)  # per detector, in detector_set order
         iters = 0
         while iters < cfg.n_max and eps >= cfg.epsilon_min:
             iters += 1
-            tau_eff = ThresholdConfig(
-                {s: max(tau.tau[s] - backoff[s], 0.0) for s in bank.detector_set}
+            tau_eff = ThresholdConfig(dict(zip(bank.detector_set, np.maximum(tau_vec - backoff, 0.0).tolist())))
+            prob = build_attack_milp(
+                bank, tau_eff, inst, target, trust_radius=eps, center=current, _skeleton=skeleton
             )
-            prob = build_attack_milp(bank, tau_eff, inst, target, trust_radius=eps, center=current)
             sol = solve_milp(prob, start=warm)
             if sol.status == Status.OPTIMAL:
                 warm = sol.basis
             if sol.status != Status.OPTIMAL or sol.x is None:
                 # Possibly over-tightened; relax and shrink the region.
                 eps /= 2.0
-                backoff = {s: 0.5 * v for s, v in backoff.items()}
+                backoff *= 0.5
                 continue
             cand = inst.y + _clean(inst, _delta(inst, sol.x))
             cand_obj = float(cand[target])
             improvement = sign * (cur_obj - cand_obj)
-            if improvement < 1e-9 and max(backoff.values()) <= 1e-9:
+            if improvement < 1e-9 and backoff.max() <= 1e-9:
                 # Converged: until the centre moves, later regions only
                 # shrink (smaller eps, tighter tau_eff), so none can improve.
                 break
-            viol = {s: r - tau.tau[s] for s, r in residuals(bank, cand).items()}
-            if max(viol.values()) <= _ACCEPT_TOL:
+            viol = np.fromiter(residuals(bank, cand).values(), float, tau_vec.size) - tau_vec
+            if viol.max() <= _ACCEPT_TOL:
                 if improvement < 1e-9:
-                    backoff = {s: 0.25 * v for s, v in backoff.items()}
+                    backoff *= 0.25
                     continue
                 current = cand
                 cur_obj = cand_obj
                 eps = cfg.epsilon0
-                backoff = {s: 0.5 * v for s, v in backoff.items()}
+                backoff *= 0.5
             else:
-                for s, v in viol.items():
-                    if v > 0:
-                        backoff[s] += 1.5 * v + 1e-12
+                hit = viol > 0
+                backoff[hit] += 1.5 * viol[hit] + 1e-12
                 eps /= 2.0
         return current, iters, warm
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import io
 import json
 import math
 import sys
@@ -37,6 +38,7 @@ EXIT_SOLVER = 4
 EXIT_NUMERIC = 5
 
 CONFIG_VERSION = 1
+MSE_HEADER = ["sensor", "family", "train_mse_normalized", "test_mse_normalized"]
 
 
 class ConfigError(ValueError):
@@ -152,13 +154,14 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _read_artifact(path: Path, producer: str, parse=lambda obj: obj):
-    """``parse`` of the JSON artifact at ``path``, which stage ``producer``
-    writes.  A missing file, or content that does not load or parse as
-    that stage writes it, raises a ``DependencyError`` naming both."""
+def _read_artifact(path: Path, producer: str, parse=lambda obj: obj, load=json.loads):
+    """``parse`` of the artifact at ``path``, which stage ``producer``
+    writes, as ``load`` reads its text (JSON unless given).  A missing
+    file, or content that does not load or parse as that stage writes it,
+    raises a ``DependencyError`` naming both."""
     _require(path, producer)
     try:
-        return parse(json.loads(path.read_text()))
+        return parse(load(path.read_text()))
     except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
         raise DependencyError(f"unreadable artifact {path} ({type(exc).__name__}: {exc}); rerun '{producer}'")
 
@@ -191,16 +194,26 @@ def _plant_config(cfg: dict) -> plant_mod.PlantConfig:
 
 
 def _load_dataset(cfg: dict, out: Path) -> plant_mod.Dataset:
-    """The plant data: the config's ``plant.csv``, which is user input, or
-    the CSV and role map that ``simulate`` wrote, which are artifacts: one
-    that does not load raises a ``DependencyError`` naming both files."""
+    """The plant data: the config's ``plant.csv`` and ``plant.roles``,
+    which are user input, or the CSV and role map that ``simulate`` wrote,
+    which are artifacts.  User input that is missing or does not load
+    raises a ``ConfigError`` naming its config key; artifacts, a
+    ``DependencyError`` naming both files."""
     spec = cfg["plant"]
     if "csv" in spec:
         if not all(isinstance(spec.get(key, ""), str) for key in ("csv", "roles")):
             raise ConfigError("plant.csv and plant.roles must be strings")
         csv_path = Path(spec["csv"])
         roles_path = Path(spec.get("roles", csv_path.with_suffix(".roles.json")))
-        return plant_mod.load_csv(_require(csv_path, "simulate"), _require(roles_path, "simulate"))
+        for key, path in (("plant.csv", csv_path), ("plant.roles", roles_path)):
+            if not path.exists():
+                raise ConfigError(f"{key}: no file {path}")
+        try:
+            return plant_mod.load_csv(csv_path, roles_path)
+        except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"plant.csv {csv_path} with plant.roles {roles_path} does not load ({type(exc).__name__}: {exc})"
+            )
     csv_path = _require(out / "data" / "clean.csv", "simulate")
     roles_path = _require(out / "data" / "roles.json", "simulate")
     try:
@@ -262,9 +275,7 @@ def cmd_train(cfg: dict) -> int:
         tst = models_mod.normalized_mse(entry.model, test.values[:, entry.feature_indices], test.values[:, s])
         mse_rows.append([name, family, repr(trn), repr(tst)])
     _write_json(models_dir / "bank.json", manifest)
-    _write_csv(
-        models_dir / "mse_table.csv", ["sensor", "family", "train_mse_normalized", "test_mse_normalized"], mse_rows
-    )
+    _write_csv(models_dir / "mse_table.csv", MSE_HEADER, mse_rows)
     print(f"train: fitted {len(bank.detector_set)} {family} detectors; MSE table at {models_dir / 'mse_table.csv'}")
     return EXIT_OK
 
@@ -453,11 +464,17 @@ def cmd_defend(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _mse_table(text: str) -> list[dict]:
+    records = csv.DictReader(io.StringIO(text, newline=""))
+    if records.fieldnames != MSE_HEADER:
+        raise ValueError(f"header {records.fieldnames} is not {MSE_HEADER}")
+    return list(records)
+
+
 def cmd_report(cfg: dict) -> int:
     out = _out_dir(cfg)
     summary: dict = {"output_dir": str(out)}
-    with open(_require(out / "models" / "mse_table.csv", "train"), newline="") as fh:
-        summary["mse_table"] = list(csv.DictReader(fh))
+    summary["mse_table"] = _read_artifact(out / "models" / "mse_table.csv", "train", load=_mse_table)
     summary["baseline_thresholds"] = _read_artifact(out / "thresholds" / "baseline.json", "calibrate")
     summary["attack"] = _read_artifact(out / "attack" / "attack_report.json", "attack")
     defense_path = out / "defense" / "report.json"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -18,11 +19,13 @@ import numpy as np
 from .models import (
     LinearModel,
     Model,
+    StackedModel,
     TrainConfig,
     fit_linear,
     fit_nn,
     EnsembleModel,
     predict_batch,
+    stack_models,
 )
 from .plant import Dataset
 
@@ -49,7 +52,11 @@ class DetectorEntry:
 
 @dataclass(frozen=True)
 class PredictorBank:
-    """Detectors keyed by sensor column index, evaluated in ``detector_set`` order."""
+    """Detectors keyed by sensor column index, evaluated in ``detector_set`` order.
+
+    ``stacked`` is the bank's one evaluator: its models stacked by family
+    and shape (``stack_models``), built on first use and kept.
+    """
 
     detectors: Mapping[int, DetectorEntry]
     detector_set: tuple[int, ...]
@@ -67,6 +74,24 @@ class PredictorBank:
         object.__setattr__(self, "detectors", detectors)
         object.__setattr__(self, "detector_set", tuple(self.detector_set))
         object.__setattr__(self, "column_names", tuple(self.column_names))
+
+    @cached_property
+    def stacked(self) -> tuple[tuple[StackedModel, np.ndarray], ...]:
+        """One ``StackedModel`` per shape group of the detectors, with the
+        positions in ``detector_set`` of its members."""
+        entries = [self.detectors[s] for s in self.detector_set]
+        return stack_models([e.model for e in entries], [e.feature_indices for e in entries])
+
+    @cached_property
+    def sensors(self) -> np.ndarray:
+        """``detector_set`` as an index vector."""
+        return np.array(self.detector_set)
+
+    @cached_property
+    def width(self) -> int:
+        """Columns a row needs: one past the highest column any detector reads."""
+        read = max(int(e.feature_indices.max(initial=0)) for e in self.detectors.values())
+        return 1 + max(read, max(self.detector_set))
 
     def is_affine(self) -> bool:
         return all(isinstance(e.model, LinearModel) for e in self.detectors.values())
@@ -125,24 +150,20 @@ class FPCurve:
 
 def residuals(bank: PredictorBank, rows) -> dict[int, float] | dict[int, np.ndarray]:
     """Residual ``|f_s(features) - reading_s|`` of every detector: a float
-    per detector at one row, a vector per detector over a matrix's rows."""
+    per detector at one row, a vector per detector over a matrix's rows.
+    Every shape group of the bank is evaluated in one stacked call."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim not in (1, 2):
         raise ValueError("rows must be a vector or a matrix")
-    needed = max(
-        max((int(e.feature_indices.max(initial=0)) for e in bank.detectors.values()), default=0),
-        max(bank.detector_set),
-    )
-    if rows.shape[-1] <= needed:
-        raise ValueError(f"rows of length {rows.shape[-1]} do not cover column {needed}")
+    if rows.shape[-1] < bank.width:
+        raise ValueError(f"rows of length {rows.shape[-1]} do not cover column {bank.width - 1}")
     X = np.atleast_2d(rows)
-    out = {}
-    for s in bank.detector_set:
-        entry = bank.detectors[s]
-        out[s] = np.abs(predict_batch(entry.model, X[:, entry.feature_indices]) - X[:, s])
+    out = np.empty((len(bank.detector_set), X.shape[0]))
+    for stack, at in bank.stacked:
+        out[at] = np.abs(predict_batch(stack, X) - X[:, bank.sensors[at]].T)
     if rows.ndim == 1:
-        return {s: float(r[0]) for s, r in out.items()}
-    return out
+        return dict(zip(bank.detector_set, out[:, 0].tolist()))
+    return dict(zip(bank.detector_set, out))
 
 
 def fp_curve(bank: PredictorBank, clean: Dataset) -> dict[int, FPCurve]:

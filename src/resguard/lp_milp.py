@@ -14,7 +14,8 @@ structural variable at its lower bound (cold), or any other basis, which
 is refactorized.
 
 ``solve_milp`` wraps it in branch-and-bound over the binary variables with
-best-bound node selection.  The root starts from the basis passed to
+best-bound node selection.  A problem with a row that no point of its box
+satisfies is infeasible before any LP runs.  The root starts from the basis passed to
 ``solve_milp``, else from the problem's own starting basis when it has
 one, else cold.  That basis may be any basis of an LP with the same rows
 and columns: the attack MILP's no-op attack, or the root basis of a
@@ -85,7 +86,7 @@ class LinearProgram:
         c = np.array(objective, dtype=float)
         if c.ndim != 1:
             raise ValueError("objective and bounds must be vectors of equal length")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("objective and bounds must be finite")
         A = np.array(A, dtype=float)
         b = np.array(b, dtype=float)
@@ -93,11 +94,11 @@ class LinearProgram:
             raise ValueError("constraint length does not match variable count")
         if b.shape != (A.shape[0],):
             raise ValueError("constraint matrix and right-hand side must have matching rows")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("constraint data must be finite")
         # ``[A | I | b]``, the tableau of the slack basis, which every
         # factorization solves against; ``with_bounds`` copies share it.
-        full = np.hstack([A, np.eye(b.size), b[:, None]])
+        full = np.concatenate((A, np.eye(b.size), b[:, None]), axis=1)
         for array in (c, A, b, full):
             array.flags.writeable = False
         self.objective, self.A, self.b, self._full = c, A, b, full
@@ -108,9 +109,9 @@ class LinearProgram:
         hi = np.asarray(upper, dtype=float)
         if lo.shape != self.objective.shape or hi.shape != self.objective.shape:
             raise ValueError("objective and bounds must be vectors of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValueError("objective and bounds must be finite")
-        if np.any(lo > hi + 1e-12):
+        if (lo > hi + 1e-12).any():
             raise ValueError("lower bound exceeds upper bound")
         self.lower = lo
         self.upper = np.maximum(hi, lo)
@@ -162,7 +163,7 @@ class MILPProblem:
         # Round each binary's bounds inward to the integers they hold, so
         # branching never fixes a binary outside its own bounds.
         lo, hi = np.ceil(lower - 1e-9), np.floor(upper + 1e-9)
-        if np.any((lo != lower) | (hi != upper)):
+        if ((lo != lower) | (hi != upper)).any():
             empty = idx[lo > hi]
             if empty.size:
                 raise ValueError(f"binary variable {empty[0]} has no integer value within its bounds")
@@ -175,7 +176,9 @@ class MILPProblem:
 @dataclass
 class MILPSolution:
     """A solve's outcome.  ``basis`` is the final basis of the LP that
-    ``solve_lp`` solved, or of ``solve_milp``'s root relaxation."""
+    ``solve_lp`` solved, or of ``solve_milp``'s root relaxation; for a MILP
+    proved infeasible before any LP, the basis its root would have started
+    from."""
 
     status: Status
     x: np.ndarray | None
@@ -376,11 +379,25 @@ def _solve_root(lp: LinearProgram, start: Basis | None) -> tuple[MILPSolution, i
     return solve_lp(lp), 2
 
 
+def _row_infeasible(lp: LinearProgram) -> bool:
+    """True when some row's least value over the box, ``sum_j min(A_ij
+    lower_j, A_ij upper_j)``, exceeds its right-hand side by more than
+    ``_FEAS_TOL``: every point of the box then breaks that row by more than
+    ``check_solution`` accepts, so the LP is infeasible."""
+    least = np.minimum(lp.A * lp.lower, lp.A * lp.upper).sum(axis=1)
+    return bool((least > lp.b + _FEAS_TOL).any())
+
+
 def solve_milp(problem: MILPProblem, node_cap: int | None = None, start: Basis | None = None) -> MILPSolution:
     """Branch-and-bound over the binaries, exact to the LP layer's tolerance.
 
-    The root relaxation starts from ``start``, which defaults to
-    ``problem.start``; with neither it starts cold.  Passing the start here
+    A problem with a row that no point of its box satisfies
+    (``_row_infeasible``) is ``INFEASIBLE`` before any LP runs: it counts
+    one node, the root, as a root LP that ends infeasible does, and returns
+    the basis the root would have started from (``start``, else
+    ``problem.start``, else ``None``).  Otherwise the root relaxation
+    starts from ``start``, which defaults to ``problem.start``; with
+    neither it starts cold.  Passing the start here
     rather than in a copy of ``problem`` skips re-validating the problem.
     The start may be any basis of an LP with the same rows and columns, such
     as the ``basis`` of an earlier solve; one that is singular here or ends
@@ -394,8 +411,11 @@ def solve_milp(problem: MILPProblem, node_cap: int | None = None, start: Basis |
     basis in ``basis``.
     """
     lp = problem.lp
+    start = problem.start if start is None else start
+    if _row_infeasible(lp):
+        return MILPSolution(Status.INFEASIBLE, None, math.inf, 1, start)
     binaries = np.array(sorted(problem.binary_vars), dtype=int)
-    root, nodes_explored = _solve_root(lp, problem.start if start is None else start)
+    root, nodes_explored = _solve_root(lp, start)
     if node_cap is None:
         node_cap = 2 ** min(len(binaries), 40) + 1000
 

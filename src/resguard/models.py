@@ -2,15 +2,18 @@
 
 All three families share one evaluation surface: ``predict_batch``
 evaluates a model and ``taylor_linearize`` linearizes it at an operating
-point.  Training normalizes features and targets with z-scores computed on
-the training split; stored models carry the scaler so predictions and
-gradients are in engineering units, while MSE reporting uses normalized
-values.
+point.  Both also take a ``StackedModel``, several same-shape models
+evaluated as one over full measurement rows, and evaluate a single model as
+a stack of one, so there is one implementation of each.  Training
+normalizes features and targets with z-scores computed on the training
+split; stored models carry the scaler so predictions and gradients are in
+engineering units, while MSE reporting uses normalized values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -227,21 +230,23 @@ def _layer_views(flat: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]
 def _forward_batch(layers, X: np.ndarray, bufs=None):
     """Forward pass over a batch; returns hidden activations and outputs.
 
-    ``bufs``, if given, holds one (rows, width) array per layer, the output
-    layer's of width 1, and receives the activations and outputs in place.
+    The weights and ``X`` may carry leading axes (a ``StackedModel``'s
+    members), which ``np.matmul`` loops over.  ``bufs``, if given, holds
+    one (rows, width) array per layer, the output layer's of width 1, and
+    receives the activations and outputs in place.
     """
     bufs = bufs or [None] * len(layers)
     acts = []
     H = X
     for (W, b), buf in zip(layers[:-1], bufs):
-        H = np.matmul(H, W.T, out=buf)
+        H = np.matmul(H, W.swapaxes(-1, -2), out=buf)
         H += b
         np.tanh(H, out=H)
         acts.append(H)
     W_out, b_out = layers[-1]
-    Z = np.matmul(H, W_out.T, out=bufs[-1])
+    Z = np.matmul(H, W_out.swapaxes(-1, -2), out=bufs[-1])
     Z += b_out
-    return acts, Z.ravel()
+    return acts, Z[..., 0]
 
 
 def fit_nn(features, targets, cfg: TrainConfig, feature_names: tuple[str, ...] = ()) -> NeuralModel:
@@ -341,51 +346,178 @@ def fit_nn(features, targets, cfg: TrainConfig, feature_names: tuple[str, ...] =
     return NeuralModel(tuple((W.copy(), b.copy()) for W, b in chosen), feature_names or (), scaler)
 
 
-def _check_dim(model: Model, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != model.n_features:
-        raise ValueError(f"input of length {x.size} does not match {model.n_features} features")
-    return x
+@dataclass(frozen=True, eq=False)
+class StackedModel:
+    """Models of one family and one shape, evaluated as one over full rows.
+
+    Member ``i`` reads the row columns ``columns[i]``.  Every parameter
+    carries a leading member axis, which ``np.matmul`` and the elementwise
+    operations loop over, so each member goes through the same numpy and
+    BLAS calls as it would alone and gets bit-identical values.  ``lr``
+    holds affine weights ``(g, k)`` and intercepts ``(g,)``; ``nn`` holds
+    tanh layers, weights ``(g, out, in)`` and biases ``(g, 1, out)``, and a
+    ``Scaler`` whose feature statistics are ``(g, 1, k)`` and target
+    statistics ``(g, 1)``.  An ensemble stack holds both and averages them.
+    Build stacks with ``stack_models``.
+    """
+
+    columns: np.ndarray
+    lr: tuple[np.ndarray, np.ndarray] | None = None
+    nn: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], Scaler] | None = None
+
+    @cached_property
+    def width(self) -> int:
+        """Columns a row needs: one past the highest column a member reads."""
+        return 1 + int(self.columns.max())
+
+    @cached_property
+    def members(self) -> tuple["StackedModel", ...]:
+        """Each member as a stack of one, over views of this stack's arrays."""
+        def one(i: int) -> StackedModel:
+            at = slice(i, i + 1)
+            lr = None if self.lr is None else (self.lr[0][at], self.lr[1][at])
+            nn = None
+            if self.nn is not None:
+                layers, sc = self.nn
+                scaler = Scaler(sc.x_mean[at], sc.x_std[at], sc.y_mean[at], sc.y_std[at])
+                nn = (tuple((W[at], b[at]) for W, b in layers), scaler)
+            return StackedModel(self.columns[at], lr, nn)
+
+        return tuple(one(i) for i in range(len(self.columns)))
 
 
-def predict_batch(model: Model, X) -> np.ndarray:
-    """Evaluate the predictor at every row of a feature matrix."""
-    X = _as_matrix(X)
-    if X.shape[1] != model.n_features:
-        raise ValueError("feature count mismatch")
+def _shape(model: Model) -> tuple:
     if isinstance(model, LinearModel):
-        return X @ model.w + model.b
+        return ("linear", model.n_features)
     if isinstance(model, NeuralModel):
-        scaler = _scaler_of(model)
-        _, out = _forward_batch(model.layers, scaler.transform_x(X))
-        return scaler.y_mean + scaler.y_std * out
+        return ("neural", tuple(W.shape for W, _ in model.layers))
     if isinstance(model, EnsembleModel):
-        return 0.5 * (predict_batch(model.nn, X) + predict_batch(model.lr, X))
+        return ("ensemble", _shape(model.nn))
     raise TypeError(f"unsupported model type {type(model)!r}")
 
 
-def taylor_linearize(model: Model, x0) -> tuple[np.ndarray, float]:
+def stack_models(models, columns) -> tuple[tuple[StackedModel, np.ndarray], ...]:
+    """The models grouped by family and shape, one ``StackedModel`` per
+    group in order of first appearance, each with the positions of its
+    members in ``models``.  Model ``i`` reads the row columns ``columns[i]``.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, model in enumerate(models):
+        groups.setdefault(_shape(model), []).append(i)
+    stacks = []
+    for at in groups.values():
+        members = [models[i] for i in at]
+        lrs = [m.lr if isinstance(m, EnsembleModel) else m for m in members if not isinstance(m, NeuralModel)]
+        nns = [m.nn if isinstance(m, EnsembleModel) else m for m in members if not isinstance(m, LinearModel)]
+        lr = (np.stack([m.w for m in lrs]), np.array([m.b for m in lrs])) if lrs else None
+        nn = None
+        if nns:
+            layers = tuple(
+                (np.stack([m.layers[j][0] for m in nns]), np.stack([m.layers[j][1] for m in nns])[:, None, :])
+                for j in range(len(nns[0].layers))
+            )
+            scalers = [_scaler_of(m) for m in nns]
+            nn = (
+                layers,
+                Scaler(
+                    np.stack([sc.x_mean for sc in scalers])[:, None, :],
+                    np.stack([sc.x_std for sc in scalers])[:, None, :],
+                    np.array([[sc.y_mean] for sc in scalers]),
+                    np.array([[sc.y_std] for sc in scalers]),
+                ),
+            )
+        cols = np.array([columns[i] for i in at], dtype=int)
+        stacks.append((StackedModel(cols, lr, nn), np.array(at)))
+    return tuple(stacks)
+
+
+def _alone(model: Model) -> StackedModel:
+    """``model`` as a stack of one; its callers pass the model's own
+    feature matrix, not full rows."""
+    return stack_models([model], [np.arange(model.n_features)])[0][0]
+
+
+def _stacked_predict(stack: StackedModel, Xg: np.ndarray) -> np.ndarray:
+    """Predictions ``(g, rows)`` from each member's ``(rows, k)`` features ``Xg[i]``."""
+    preds = []
+    if stack.nn is not None:
+        layers, scaler = stack.nn
+        _, out = _forward_batch(layers, scaler.transform_x(Xg))
+        preds.append(scaler.y_mean + scaler.y_std * out)
+    if stack.lr is not None:
+        w, b = stack.lr
+        preds.append((Xg @ w[:, :, None])[..., 0] + b[:, None])
+    return preds[0] if len(preds) == 1 else 0.5 * (preds[0] + preds[1])
+
+
+def _stacked_linearize(stack: StackedModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients ``(g, k)`` and intercepts ``(g,)`` at each member's features ``x[i]``."""
+    parts = []
+    if stack.nn is not None:
+        # The prediction and the hidden activations the gradient needs come
+        # from one forward pass; the gradient is chained back layer by layer.
+        layers, scaler = stack.nn
+        acts, out = _forward_batch(layers, scaler.transform_x(x[:, None, :]))
+        g = layers[-1][0]
+        for (W, _), a in zip(reversed(layers[:-1]), reversed(acts)):
+            g = (g * (1.0 - a**2)) @ W
+        w = scaler.y_std * g[:, 0, :] / scaler.x_std[:, 0, :]
+        pred = (scaler.y_mean + scaler.y_std * out)[:, 0]
+        parts.append((w, pred - (w[:, None, :] @ x[:, :, None])[:, 0, 0]))
+    if stack.lr is not None:
+        parts.append((stack.lr[0].copy(), stack.lr[1].copy()))
+    if len(parts) == 1:
+        return parts[0]
+    (w_nn, b_nn), (w_lr, b_lr) = parts
+    return 0.5 * (w_nn + w_lr), 0.5 * (b_nn + b_lr)
+
+
+def _check_width(stack: StackedModel, width: int) -> None:
+    if width < stack.width:
+        raise ValueError(f"rows of length {width} do not cover column {stack.width - 1}")
+
+
+def predict_batch(model: Model | StackedModel, X) -> np.ndarray:
+    """Evaluate the predictor at every row of a feature matrix.
+
+    A ``StackedModel`` is evaluated at every row of a measurement matrix and
+    gives one row of predictions per member.
+    """
+    X = _as_matrix(X)
+    if isinstance(model, StackedModel):
+        _check_width(model, X.shape[1])
+        # Member i's block is laid out as ``X[:, columns[i]]`` is (column
+        # major), so its matmuls take the same BLAS path as alone.  Over more
+        # than one row the members go one at a time, which keeps the peak
+        # memory at one member's, as alone; stacking saves per-call
+        # overhead, which only a single row notices.
+        if X.shape[0] > 1:
+            return np.concatenate([_stacked_predict(m, X.T[m.columns].swapaxes(1, 2)) for m in model.members])
+        return _stacked_predict(model, X.T[model.columns].swapaxes(1, 2))
+    if X.shape[1] != model.n_features:
+        raise ValueError("feature count mismatch")
+    return _stacked_predict(_alone(model), X[None])[0]
+
+
+def taylor_linearize(model: Model | StackedModel, x0):
     """First-order expansion at ``x0``: returns (w, b) with w.x0 + b the prediction at x0.
 
     ``w`` is the exact gradient; a ``LinearModel`` returns its own ``w`` and
-    ``b``.  A neural net takes its prediction and the hidden activations its
-    gradient needs from one forward pass.
+    ``b``.  A ``StackedModel`` is expanded at a measurement row ``x0`` and
+    returns one gradient row ``w[i]``, over member ``i``'s columns, and one
+    intercept ``b[i]`` per member: ``w[i] . x0[columns[i]] + b[i]`` is its
+    prediction at ``x0``.
     """
-    x0 = _check_dim(model, x0)
-    if isinstance(model, LinearModel):
-        return model.w.copy(), model.b
-    if isinstance(model, NeuralModel):
-        scaler = _scaler_of(model)
-        acts, out = _forward_batch(model.layers, scaler.transform_x(x0)[None, :])
-        g = model.layers[-1][0][0]
-        for (W, _), a in zip(reversed(model.layers[:-1]), reversed(acts)):
-            g = (g * (1.0 - a[0] ** 2)) @ W
-        w = scaler.y_std * g / scaler.x_std
-        return w, float(scaler.y_mean + scaler.y_std * out[0]) - float(w @ x0)
-    if isinstance(model, EnsembleModel):
-        w_nn, b_nn = taylor_linearize(model.nn, x0)
-        return 0.5 * (w_nn + model.lr.w), 0.5 * (b_nn + model.lr.b)
-    raise TypeError(f"unsupported model type {type(model)!r}")
+    x0 = np.asarray(x0, dtype=float)
+    if isinstance(model, StackedModel):
+        if x0.ndim != 1:
+            raise ValueError("x0 must be a vector")
+        _check_width(model, x0.size)
+        return _stacked_linearize(model, x0[model.columns])
+    if x0.ndim != 1 or x0.size != model.n_features:
+        raise ValueError(f"input of length {x0.size} does not match {model.n_features} features")
+    w, b = _stacked_linearize(_alone(model), x0[None])
+    return w[0], float(b[0])
 
 
 def normalized_mse(model: Model, features, targets) -> float:

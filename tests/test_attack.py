@@ -885,6 +885,36 @@ def test_start_basis_and_seed_points_go_only_where_they_apply():
             run_attack(nn_bank, tau, inst, cfg, seeds=[bad])
 
 
+def test_pre_proved_infeasible_descent_milps_are_infeasible_for_highs(monkeypatch):
+    """Desk tanh preset seed 7, neural bank, the benchmark's pool of rows
+    and budgets: every trust-region MILP that ``solve_milp`` declares
+    ``INFEASIBLE`` from one row's bounds alone, before any LP, is
+    infeasible for HiGHS too, and counts one node."""
+    cfg = desk_config(seed=7, nonlinearity=Nonlinearity.TANH, nonlinear_channels=(0,))
+    train, test = split_sequential(simulate(cfg, 1200), 0.8)
+    bank = train_bank(train, family="neural", train_cfg=TrainConfig(epochs=2000, seed=7))
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
+    alg1 = default_alg1_config(train)
+    proved = []
+    real = attack.solve_milp
+
+    def solve(problem, start=None):
+        sol = real(problem, start=start)
+        if lp_milp._row_infeasible(problem.lp):
+            assert (sol.status, sol.nodes_explored) == (Status.INFEASIBLE, 1)
+            proved.append(problem)
+        return sol
+
+    monkeypatch.setattr(attack, "solve_milp", solve)
+    b1_rows = (1, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 18, 19, 20, 21, 23, 24, 25, 26, 27, 28, 29, 31)
+    for budget, rows in ((1, b1_rows), (2, (3,)), (3, (15,))):
+        for row in rows:
+            run_attack(bank, tau, instance_from_dataset(train, test.values[row], budget=budget), alg1)
+    assert len(proved) > 100
+    for problem in proved:
+        assert highs_milp(problem).status == 2  # infeasible
+
+
 def test_attack_nn_stops_once_the_target_cannot_move(monkeypatch):
     """Desk tanh bank, test row 21, B=1: once the linearized optimum stops
     moving the target, the descent ends instead of halving ``eps`` down to

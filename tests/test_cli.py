@@ -550,6 +550,7 @@ def _drop(key):
         pytest.param("models/model_s0.json", _drop("w"), "calibrate", "thresholds", id="model-without-w"),
         pytest.param("data/roles.json", '{"columns": [{', "train", "models", id="truncated-roles"),
         pytest.param("data/clean.csv", "s0,s1,s2,s3,s4,s5,s6,s7,u0,u1\n", "train", "models", id="header-only-clean-csv"),
+        pytest.param("models/mse_table.csv", "sensor,mse\ns0,0.1\n", "report", "report", id="mse-table-with-another-header"),
     ],
 )
 def test_an_unreadable_artifact_is_a_dependency_error(pipeline_dir, tmp_path, capsys, rel, corrupt, command, written):
@@ -571,17 +572,50 @@ def test_an_unreadable_artifact_is_a_dependency_error(pipeline_dir, tmp_path, ca
     assert not (run / written).exists()
 
 
-@pytest.mark.parametrize("rel", ["thresholds/baseline.json", "data/roles.json"])
-def test_an_artifact_that_cannot_be_opened_is_a_dependency_error(pipeline_dir, tmp_path, capsys, rel):
+@pytest.mark.parametrize(
+    "rel, command, producer",
+    [
+        pytest.param("thresholds/baseline.json", "attack", "calibrate", id="thresholds/baseline.json"),
+        pytest.param("data/roles.json", "attack", "simulate", id="data/roles.json"),
+        pytest.param("models/mse_table.csv", "report", "train", id="models/mse_table.csv"),
+    ],
+)
+def test_an_artifact_that_cannot_be_opened_is_a_dependency_error(pipeline_dir, tmp_path, capsys, rel, command, producer):
     """A directory where an upstream artifact should be exits 3 and names
-    it, as a corrupt file does."""
+    it and the stage that writes it, as a corrupt file does."""
     out, cfg_path = pipeline_dir
     run = tmp_path / "run"
     shutil.copytree(out, run)
     (run / rel).unlink()
     (run / rel).mkdir()
-    assert main(["attack", "--config", str(cfg_path), "--out", str(run)]) == EXIT_DEPENDENCY
-    assert f"{run / rel} " in capsys.readouterr().err
+    assert main([command, "--config", str(cfg_path), "--out", str(run)]) == EXIT_DEPENDENCY
+    err = capsys.readouterr().err
+    assert f"{run / rel} " in err and f"'{producer}'" in err
+
+
+@pytest.mark.parametrize(
+    "key, fault",
+    [("plant.csv", "missing"), ("plant.roles", "missing"), ("plant.csv", "directory"), ("plant.roles", "directory")],
+)
+def test_a_user_plant_file_that_does_not_load_is_a_config_error(tmp_path, capsys, key, fault):
+    """A ``plant.csv`` or ``plant.roles`` that is missing or cannot be read
+    is user input, not an artifact: exit 2, naming the config key and the
+    path, and no stage output."""
+    data = plant.simulate(plant.desk_config(seed=7), 100)
+    paths = {"plant.csv": tmp_path / "rows.csv", "plant.roles": tmp_path / "columns.json"}
+    plant.save_csv(data, paths["plant.csv"], paths["plant.roles"])
+    bad = paths[key]
+    bad.unlink()
+    if fault == "directory":
+        bad.mkdir()
+    out = tmp_path / "run"
+    cfg_path = tmp_path / "config.json"
+    spec = {"csv": str(paths["plant.csv"]), "roles": str(paths["plant.roles"])}
+    cfg_path.write_text(json.dumps(SMALL_CONFIG | {"output_dir": str(out), "plant": spec}))
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and str(bad) in err
+    assert not (out / "models").exists()
 
 
 def test_an_output_path_that_cannot_be_made_is_a_config_error(pipeline_dir, tmp_path, capsys):

@@ -17,8 +17,8 @@ from resguard.detector import (
     train_bank,
 )
 from resguard.defense import total_false_alarms
-from resguard.models import LinearModel, TrainConfig, predict_batch
-from resguard.plant import Column, Dataset, Role, desk_config, simulate
+from resguard.models import LinearModel, TrainConfig, predict_batch, taylor_linearize
+from resguard.plant import Column, Dataset, Nonlinearity, Role, desk_config, simulate, split_sequential
 
 
 def test_residual_examples():
@@ -80,6 +80,51 @@ def test_residuals_matrix_too_narrow(family_bank):
         residuals(bank, rows[:, :-1])
     with pytest.raises(ValueError):
         residuals(bank, rows[None, :, :])
+
+
+@pytest.fixture(scope="module")
+def desk_tanh_split():
+    cfg = desk_config(seed=7, nonlinearity=Nonlinearity.TANH, nonlinear_channels=(0,))
+    return split_sequential(simulate(cfg, 600), 0.8)
+
+
+@pytest.mark.parametrize("sensors", ["critical", "all"])
+@pytest.mark.parametrize("family", ["linear", "neural", "ensemble"])
+def test_stacked_form_equals_each_detector_alone(desk_tanh_split, family, sensors):
+    """The bank's stacked form gives every detector's prediction, gradient
+    and intercept bit for bit as its own model does, at one row and over a
+    matrix (column major, as ``Dataset.values`` is, and row major), and so
+    do ``residuals``.  The all-sensor bank's detectors read 7 or 8 columns,
+    so it forms more than one shape group."""
+    train, test = desk_tanh_split
+    detector_sensors = train.sensor_columns() if sensors == "all" else None
+    bank = train_bank(train, detector_sensors, family, TrainConfig(epochs=50, seed=7))
+    groups = bank.stacked
+    assert sorted(k for _, at in groups for k in at.tolist()) == list(range(len(bank.detector_set)))
+    assert len(groups) == (2 if sensors == "all" else 1)
+    entries = [bank.detectors[s] for s in bank.detector_set]
+    matrices = (test.values[:1], test.values, np.ascontiguousarray(test.values[:40]))
+    for stack, at in groups:
+        for X in matrices:
+            P = predict_batch(stack, X)
+            assert P.shape == (at.size, X.shape[0])
+            for i, k in enumerate(at):
+                assert np.array_equal(P[i], predict_batch(entries[k].model, X[:, entries[k].feature_indices]))
+        for row in test.values[:4]:
+            W, B = taylor_linearize(stack, row)
+            for i, k in enumerate(at):
+                w, b = taylor_linearize(entries[k].model, row[entries[k].feature_indices])
+                assert np.array_equal(W[i], w) and B[i] == b
+    for X in matrices:
+        res = residuals(bank, X)
+        for e in entries:
+            s = e.sensor_index
+            assert np.array_equal(res[s], np.abs(predict_batch(e.model, X[:, e.feature_indices]) - X[:, s]))
+    for row in test.values[:4]:
+        res = residuals(bank, row)
+        for e in entries:
+            s = e.sensor_index
+            assert res[s] == abs(float(predict_batch(e.model, row[None, e.feature_indices])[0]) - row[s])
 
 
 def _dataset_from_rows(rows):

@@ -548,3 +548,32 @@ def test_start_argument_equals_a_problem_with_that_start():
         assert via_argument.objective == via_problem.objective
         assert via_argument.nodes_explored == via_problem.nodes_explored
         assert np.array_equal(via_argument.basis.basic, via_problem.basis.basic)
+
+
+def test_a_row_no_box_point_satisfies_is_infeasible_before_any_lp(monkeypatch):
+    """``x0 + x1 <= -0.5`` over the unit box: the row's least value there,
+    0, is above its right-hand side, so ``solve_milp`` answers
+    ``INFEASIBLE`` with no LP.  It counts one node, the root, and returns
+    the basis the root would have started from.  Two rows that each hold
+    somewhere in the box but not together are left to the LP."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    box = ([0, 0], [1, 1])
+    proved = MILPProblem(LinearProgram([1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]], [-0.5, 1.0], *box), frozenset({1}))
+    start = lp_milp.Basis(np.array([0, 3]), np.zeros(4, dtype=bool))
+    monkeypatch.setattr(lp_milp, "solve_lp", no_lp)
+    for given, returned in ((None, None), (start, start)):
+        sol = solve_milp(proved, start=given)
+        assert (sol.status, sol.x, sol.objective, sol.nodes_explored) == (Status.INFEASIBLE, None, math.inf, 1)
+        assert sol.basis is returned
+    assert solve_milp(replace(proved, start=start)).basis is start
+    # Within the solver's tolerance the row is not proved infeasible.
+    assert not lp_milp._row_infeasible(LinearProgram([1.0], [[1.0]], [-0.5 * lp_milp._FEAS_TOL], [0.0], [1.0]))
+    monkeypatch.undo()
+
+    together = MILPProblem(LinearProgram([1.0, 0.0], [[1.0, 1.0], [-1.0, -1.0]], [0.5, -1.5], *box), frozenset({1}))
+    assert not lp_milp._row_infeasible(together.lp)
+    sol = solve_milp(together)
+    assert (sol.status, sol.nodes_explored) == (Status.INFEASIBLE, 1)
+    assert sol.basis is not None
