@@ -29,6 +29,7 @@ from .plant import Dataset
 STEALTH_TOL = 1e-6     # certificate slack on residual - tau
 _ACCEPT_TOL = 1e-7     # acceptance check inside the iterative attack
 _CLEAN_TOL = 1e-9      # perturbations below this are treated as zero
+_LATTICE_CHUNK = 4096  # probe-lattice rows gathered before a bank evaluation; bounds memory
 
 
 class Direction(str, Enum):
@@ -65,8 +66,8 @@ class AttackInstance:
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
-        if y.ndim != 1:
-            raise ValueError("y must be a vector")
+        if y.ndim != 1 or not np.all(np.isfinite(y)):
+            raise ValueError("y must be a finite vector")
         d = y.size
         sensors = tuple(int(s) for s in self.sensor_columns)
         if not sensors or any(not 0 <= s < d for s in sensors):
@@ -77,13 +78,15 @@ class AttackInstance:
         if self.budget < 0 or self.budget > len(sensors):
             raise ValueError(f"budget {self.budget} outside [0, {len(sensors)}]")
         eta = np.broadcast_to(np.asarray(self.eta, dtype=float), (d,)).copy()
-        if np.any(eta < 0):
+        if not np.all(eta >= 0):  # also false for NaN
             raise ValueError("eta must be nonnegative")
         scale = np.maximum(1.0, np.abs(y))
         box_lo = np.asarray(self.box_lo, dtype=float) if self.box_lo is not None else y - 10.0 * scale
         box_hi = np.asarray(self.box_hi, dtype=float) if self.box_hi is not None else y + 10.0 * scale
         if box_lo.shape != y.shape or box_hi.shape != y.shape:
             raise ValueError("box bounds must match y")
+        if not (np.all(np.isfinite(box_lo)) and np.all(np.isfinite(box_hi))):
+            raise ValueError("box bounds must be finite")
         if np.any(box_lo > y) or np.any(box_hi < y):
             raise ValueError("box must contain the clean measurement")
         object.__setattr__(self, "y", y)
@@ -440,19 +443,22 @@ def _probe_seeds(
 
     Local linearization cannot see disconnected branches of a nonlinear
     stealth set, so the descent loop is restarted from the best lattice
-    points that pass exact forward propagation.  The lattice is built and
-    verified once, in one batched bank evaluation, and sorted per target.
-    An axis has 33 points (1 sensor), 65 (2 sensors) or 7 (3 sensors), plus
-    0 when that is not among them.  On the desk preset's 8 sensors the
-    lattice has 272, 34,848 and 4,096 rows at budgets 1, 2 and 3.
+    points that pass exact forward propagation.  The lattice is built one
+    support block at a time; pending blocks are verified together, in one
+    batched bank evaluation, once they hold ``_LATTICE_CHUNK`` rows, and
+    only the rows that pass are kept and sorted per target.  An axis has
+    33 points (1 sensor), 65 (2 sensors) or 7 (3 sensors), plus 0 when
+    that is not among them.  On the desk preset's 8 sensors the lattice
+    has 272, 34,848 and 4,096 rows at budgets 1, 2 and 3: one evaluation
+    at budgets 1 and 3, and one per 4,356-row block at budget 2.
     """
     dlo, dhi = inst.delta_bounds()
     attackable = sorted(inst.attackable)
     by_size = (itertools.combinations(attackable, size) for size in range(min(inst.budget, 3), 0, -1))
     supports = list(itertools.islice(itertools.chain.from_iterable(by_size), 8))
 
-    blocks = []
-    for support in supports:
+    kept, pending = [np.empty((0, inst.y.size))], []
+    for i, support in enumerate(supports):
         per_axis = {1: 33, 2: 65}.get(len(support), 7)
         axes = []
         for s in support:
@@ -463,12 +469,12 @@ def _probe_seeds(
         block = np.tile(inst.y, (grid[0].size, 1))
         for s, offsets in zip(support, grid):
             block[:, s] += offsets.ravel()
-        blocks.append(block)
-    if not blocks:
-        return {target: [] for target in inst.critical}
-
-    matrix = np.vstack(blocks)
-    feasible = matrix[stealth_margin(bank, tau, matrix) <= _ACCEPT_TOL]
+        pending.append(block)
+        if sum(map(len, pending)) >= _LATTICE_CHUNK or i == len(supports) - 1:
+            rows = np.vstack(pending)
+            kept.append(rows[stealth_margin(bank, tau, rows) <= _ACCEPT_TOL])
+            pending = []
+    feasible = np.vstack(kept)
 
     sign = inst.direction.sign
     probes = {}

@@ -468,7 +468,16 @@ def _mse_table(text: str) -> list[dict]:
     records = csv.DictReader(io.StringIO(text, newline=""))
     if records.fieldnames != MSE_HEADER:
         raise ValueError(f"header {records.fieldnames} is not {MSE_HEADER}")
-    return list(records)
+    table = []
+    for record in records:
+        # DictReader fills a short record with None values and files a long
+        # one's extra fields under the key None.
+        if None in record or None in record.values():
+            raise ValueError(f"line {records.line_num} does not have {len(MSE_HEADER)} fields")
+        table.append(record)
+    if not table:
+        raise ValueError("no rows")
+    return table
 
 
 def cmd_report(cfg: dict) -> int:

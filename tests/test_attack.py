@@ -112,6 +112,20 @@ def test_attack_instance_validation():
         AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0,), budget=1, eta=-1.0)
     with pytest.raises(ValueError):
         AttackInstance(y=np.zeros(2), sensor_columns=(0, 1), critical=(0,), budget=1, direction="sideways")
+    # NaN compares false both ways, so it must not slip past the sign and
+    # containment checks: a NaN eta would silently mark its sensor clean.
+    non_finite = [
+        {"eta": np.array([1.0, np.nan])},
+        {"y": np.array([0.0, np.nan])},
+        {"box_lo": np.array([-1.0, np.nan])},
+        {"box_hi": np.array([np.nan, 1.0])},
+        {"box_lo": np.array([-np.inf, -1.0])},
+        {"box_hi": np.array([1.0, np.inf])},
+    ]
+    for case in non_finite:
+        kwargs = {"y": np.zeros(2), "sensor_columns": (0, 1), "critical": (0,), "budget": 1} | case
+        with pytest.raises(ValueError, match="eta|finite"):
+            AttackInstance(**kwargs)
 
 
 def test_attack_linear_eta_bound_only():
@@ -1248,17 +1262,50 @@ def _reference_probe_seeds(bank, tau, inst, target):
 
 
 def test_probe_seeds_match_the_product_lattice():
+    """Tanh and ensemble banks on 4 sensors: the seeds equal the loop
+    reference's.  At B=2 the lattice's six 2-sensor blocks each exceed
+    ``_LATTICE_CHUNK`` rows, so each is verified on its own."""
     rng = np.random.default_rng(408)
+    lr_rng = np.random.default_rng(409)
     for budget in (1, 2, 3, 3, 3, 3):
-        bank = _tanh_bank(rng, 4)
+        tanh = _tanh_bank(rng, 4)
+        ensemble = {
+            s: DetectorEntry(EnsembleModel(entry.model, LinearModel(lr_rng.normal(size=3), 0.1)), s, entry.feature_indices)
+            for s, entry in tanh.detectors.items()
+        }
         y = rng.normal(0.0, 0.3, 4)
-        tau = ThresholdConfig({s: r + 0.4 for s, r in residuals(bank, y).items()})
         target = int(rng.integers(4))
         inst = AttackInstance(y=y, sensor_columns=(0, 1, 2, 3), critical=(target,), budget=budget, eta=1.5)
-        got = attack._probe_seeds(bank, tau, inst)[target]
-        want = _reference_probe_seeds(bank, tau, inst, target)
-        assert got and len(got) == len(want)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for bank in (tanh, PredictorBank(ensemble, tanh.detector_set)):
+            tau = ThresholdConfig({s: r + 0.4 for s, r in residuals(bank, y).items()})
+            got = attack._probe_seeds(bank, tau, inst)[target]
+            want = _reference_probe_seeds(bank, tau, inst, target)
+            assert got and len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_probe_lattice_is_verified_in_bounded_blocks(monkeypatch):
+    """Desk tanh preset seed 7, test row 3: the lattice is verified in
+    bank evaluations of at most one chunk or one support block, never all
+    at once.  B=1's 272 rows and B=3's 4,096 are one evaluation each;
+    B=2's 34,848 rows are its eight 4,356-row blocks.  The seeds equal the
+    loop reference's."""
+    cfg = desk_config(seed=7, nonlinearity=Nonlinearity.TANH, nonlinear_channels=(0,))
+    train, test = split_sequential(simulate(cfg, 1200), 0.8)
+    bank = train_bank(train, family="neural", train_cfg=TrainConfig(epochs=50, seed=7))
+    tau = calibrate_baseline(fp_curve(bank, train), 100.0, len(bank.detector_set))
+    sizes = []
+    real = attack.stealth_margin
+    monkeypatch.setattr(attack, "stealth_margin", lambda bank, tau, rows: sizes.append(len(rows)) or real(bank, tau, rows))
+    for budget, want_sizes in ((1, [272]), (2, [4356] * 8), (3, [4096])):
+        inst = instance_from_dataset(train, test.values[3], budget=budget)
+        sizes.clear()
+        probes = attack._probe_seeds(bank, tau, inst)
+        assert sizes == want_sizes, budget
+        for target in inst.critical:
+            want = _reference_probe_seeds(bank, tau, inst, target)
+            assert len(probes[target]) == len(want), (budget, target)
+            assert all(np.array_equal(g, w) for g, w in zip(probes[target], want)), (budget, target)
 
 
 def test_stealth_margin_over_a_matrix_equals_per_row_margins():

@@ -534,6 +534,9 @@ def test_neural_budget_sweep_never_gets_worse(tmp_path, monkeypatch):
     assert (best["sensor"], best["attacked_value"]) == (bank.name_of(at_2.target), repr(at_2.objective))
 
 
+_MSE_HEAD = "sensor,family,train_mse_normalized,test_mse_normalized\n"
+
+
 def _drop(key):
     return lambda obj: {k: v for k, v in obj.items() if k != key}
 
@@ -551,6 +554,9 @@ def _drop(key):
         pytest.param("data/roles.json", '{"columns": [{', "train", "models", id="truncated-roles"),
         pytest.param("data/clean.csv", "s0,s1,s2,s3,s4,s5,s6,s7,u0,u1\n", "train", "models", id="header-only-clean-csv"),
         pytest.param("models/mse_table.csv", "sensor,mse\ns0,0.1\n", "report", "report", id="mse-table-with-another-header"),
+        pytest.param("models/mse_table.csv", _MSE_HEAD + "s0,linear,0.1", "report", "report", id="mse-table-cut-mid-row"),
+        pytest.param("models/mse_table.csv", _MSE_HEAD + "s0,linear,0.1,0.2,0.3\n", "report", "report", id="mse-table-row-too-long"),
+        pytest.param("models/mse_table.csv", _MSE_HEAD, "report", "report", id="header-only-mse-table"),
     ],
 )
 def test_an_unreadable_artifact_is_a_dependency_error(pipeline_dir, tmp_path, capsys, rel, corrupt, command, written):
